@@ -1,7 +1,7 @@
 //! `bench-kernels`: machine-readable kernel/round baselines.
 //!
-//! Measures dense matmul and conv2d forward throughput (GFLOP/s) and the
-//! end-to-end federated round time at pool sizes 1, 2 and 4, then writes
+//! Measures dense matmul and conv throughput (GFLOP/s) and the end-to-end
+//! federated round time at pool sizes 1, 2 and 4, then writes
 //! `BENCH_kernels.json` for regression tracking. Kernel throughputs are
 //! computed from the fastest sample (the noise floor): scheduler noise on
 //! a shared host only ever slows a sample down, so the minimum is the one
@@ -11,7 +11,11 @@
 //! parallelism is recorded alongside, and rows whose pool size exceeds it
 //! are marked `reliable: false` (extra threads cannot speed anything up on
 //! such a host, so those timings are noise and regression checks skip
-//! them).
+//! them). Two conv rows sit side by side: `conv2d` is the long-standing
+//! probe (LeNet-5's conv2 forward at a 16×16 input the model never feeds
+//! it), `conv1` is the layer that dominates LeNet-5 training — conv1 at its
+//! real `[16, 3, 16, 16]` batch, forward plus the parameters-only backward
+//! the first layer runs.
 //!
 //! A freeze-aware sweep rides along: skip-frozen SGD/Adam step time and
 //! run-driven sparse aggregation over a 2^20-scalar vector at frozen ratios
@@ -75,7 +79,10 @@ use apf_fedsim::{
 };
 use apf_nn::{models, Adam, LrSchedule, Optimizer, Sgd};
 use apf_quant::EmaCodec;
-use apf_tensor::{conv2d_forward_fused, normal_init, scratch, seeded_rng, slab, ConvSpec, Tensor};
+use apf_tensor::{
+    conv2d_backward_params_fused, conv2d_forward_fused, normal_init, scratch, seeded_rng, slab,
+    ConvSpec, Tensor,
+};
 
 /// Square matmul side for the throughput probe.
 const MM_N: usize = 192;
@@ -112,6 +119,7 @@ struct ThreadResult {
     reliable: bool,
     matmul_gflops: f64,
     conv2d_gflops: f64,
+    conv1_gflops: f64,
     round_ms: f64,
 }
 
@@ -210,6 +218,37 @@ fn bench_conv2d(g: &mut BenchGroup, threads: usize) -> f64 {
         * (n * oh * ow) as f64
         * spec.out_channels as f64
         * (spec.in_channels * spec.kernel * spec.kernel) as f64;
+    flops / m.min.as_secs_f64() / 1e9
+}
+
+/// LeNet-5's first conv at its training shape (batch 16, `[3, 16, 16]`
+/// images): one forward pass plus the parameters-only backward pass
+/// (weight and bias gradients; a first layer computes no input gradient).
+fn bench_conv1(g: &mut BenchGroup, threads: usize) -> f64 {
+    let mut rng = seeded_rng(7);
+    let spec = ConvSpec {
+        in_channels: models::IMAGE_CHANNELS,
+        out_channels: 6,
+        kernel: 5,
+        stride: 1,
+        padding: 2,
+    };
+    let side = models::IMAGE_SIDE;
+    let n = 16usize;
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let input = normal_init(&[n, spec.in_channels, side, side], 0.0, 1.0, &mut rng);
+    let weight = normal_init(&[spec.out_channels, ckk], 0.0, 0.1, &mut rng);
+    let bias = Tensor::zeros(&[spec.out_channels]);
+    let (oh, ow) = spec.out_size(side, side);
+    let grad = normal_init(&[n, spec.out_channels, oh, ow], 0.0, 0.01, &mut rng);
+    let m = g.bench(&format!("conv1_t{threads}"), || {
+        black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
+        let (gw, gb) = conv2d_backward_params_fused(&grad, &input, &spec);
+        black_box(gw).recycle();
+        black_box(gb).recycle();
+    });
+    // Forward and grad-weight GEMMs have the same multiply-add count.
+    let flops = 2.0 * 2.0 * (n * oh * ow) as f64 * spec.out_channels as f64 * ckk as f64;
     flops / m.min.as_secs_f64() / 1e9
 }
 
@@ -419,11 +458,12 @@ fn json_escape_free(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
+            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
             r.threads,
             r.reliable,
             r.matmul_gflops,
             r.conv2d_gflops,
+            r.conv1_gflops,
             r.round_ms,
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -496,6 +536,9 @@ fn ledger_record(
         record
             .metrics
             .insert(format!("conv2d_gflops_t{t}"), r.conv2d_gflops);
+        record
+            .metrics
+            .insert(format!("conv1_gflops_t{t}"), r.conv1_gflops);
         record.metrics.insert(format!("round_ms_t{t}"), r.round_ms);
     }
     for r in masked {
@@ -571,12 +614,14 @@ fn main() {
         apf_par::set_threads(threads);
         let matmul_gflops = bench_matmul(&mut g, threads);
         let conv2d_gflops = bench_conv2d(&mut g, threads);
+        let conv1_gflops = bench_conv1(&mut g, threads);
         let round_ms = bench_round();
         results.push(ThreadResult {
             threads,
             reliable: threads <= host_parallelism,
             matmul_gflops,
             conv2d_gflops,
+            conv1_gflops,
             round_ms,
         });
     }

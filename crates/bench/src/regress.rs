@@ -205,6 +205,10 @@ pub struct BenchRow {
     pub matmul_gflops: f64,
     /// Conv2d throughput, GFLOP/s (higher is better).
     pub conv2d_gflops: f64,
+    /// LeNet-5 conv1 forward + parameters-only backward throughput,
+    /// GFLOP/s (higher is better; 0 in baselines that predate the row,
+    /// which skips the check).
+    pub conv1_gflops: f64,
     /// Mean federated round wall time, ms (lower is better).
     pub round_ms: f64,
 }
@@ -279,6 +283,7 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
                 reliable: r.get("reliable").and_then(Value::as_bool).unwrap_or(true),
                 matmul_gflops: num("matmul_gflops"),
                 conv2d_gflops: num("conv2d_gflops"),
+                conv1_gflops: num("conv1_gflops"),
                 round_ms: num("round_ms"),
             }
         })
@@ -390,6 +395,7 @@ pub fn check_bench_json(
                 base_row.conv2d_gflops,
                 cand_row.conv2d_gflops,
             ),
+            ("conv1_gflops", base_row.conv1_gflops, cand_row.conv1_gflops),
         ] {
             if base > 0.0 && cand < base / (1.0 + tol.time_increase) {
                 findings.push(Finding {
@@ -618,6 +624,25 @@ mod tests {
         let f = check_bench_json(&base, &cand_other_host, &Tolerances::default()).unwrap();
         assert!(!f.is_empty());
         assert!(!any_failure(&f), "{f:?}");
+    }
+
+    #[test]
+    fn conv1_row_is_gated_once_the_baseline_has_it() {
+        let row = |conv1: &str| {
+            format!(
+                "{{\"host_parallelism\": 2, \"results\": [\
+                 {{\"threads\": 1, \"matmul_gflops\": 10.0, \"conv2d_gflops\": 10.0,\
+                   {conv1} \"round_ms\": 100.0}}]}}"
+            )
+        };
+        let base = row("\"conv1_gflops\": 8.0,");
+        let slow = row("\"conv1_gflops\": 4.0,");
+        let f = check_bench_json(&base, &slow, &Tolerances::default()).unwrap();
+        assert!(any_failure(&f));
+        assert!(f.iter().any(|x| x.field == "conv1_gflops_t1"), "{f:?}");
+        // A baseline that predates the row cannot regress on it.
+        let f = check_bench_json(&row(""), &slow, &Tolerances::default()).unwrap();
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]

@@ -38,6 +38,20 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad: Tensor) -> Tensor;
 
+    /// Like [`Layer::backward`], but only accumulates parameter gradients:
+    /// the input gradient is not computed. [`crate::Sequential`] calls this
+    /// on a model's first layer, whose input gradient nobody reads.
+    ///
+    /// Parameter gradients must be bitwise identical to `backward`'s. The
+    /// default runs `backward` and recycles the result; layers whose input
+    /// gradient costs a separate kernel override it to skip that kernel.
+    ///
+    /// # Panics
+    /// Implementations may panic if called before `forward`.
+    fn backward_params(&mut self, grad: Tensor) {
+        self.backward(grad).recycle();
+    }
+
     /// Visits every parameter tensor as `(name, trainable, value, grad)`.
     ///
     /// The default is a no-op for parameterless layers.

@@ -1,7 +1,10 @@
 //! Convolutional layer wrapping the fused im2col kernels of `apf-tensor`.
 
 use apf_tensor::Rng;
-use apf_tensor::{conv2d_backward_fused, conv2d_forward_fused, kaiming_uniform, ConvSpec, Tensor};
+use apf_tensor::{
+    conv2d_backward_fused, conv2d_backward_params_fused, conv2d_forward_fused, kaiming_uniform,
+    ConvSpec, Tensor,
+};
 
 use crate::layer::{Layer, Mode};
 
@@ -42,6 +45,15 @@ impl Conv2d {
     pub fn spec(&self) -> &ConvSpec {
         &self.spec
     }
+
+    /// Adds one backward pass's parameter gradients into the accumulators
+    /// and recycles them.
+    fn accumulate(&mut self, grad_weight: Tensor, grad_bias: Tensor) {
+        self.grad_weight.axpy(1.0, &grad_weight);
+        self.grad_bias.axpy(1.0, &grad_bias);
+        grad_weight.recycle();
+        grad_bias.recycle();
+    }
 }
 
 impl Layer for Conv2d {
@@ -62,13 +74,21 @@ impl Layer for Conv2d {
             .take()
             .expect("conv2d backward before forward");
         let grads = conv2d_backward_fused(&grad, &x, &self.weight, &self.spec);
-        self.grad_weight.axpy(1.0, &grads.weight);
-        self.grad_bias.axpy(1.0, &grads.bias);
-        grads.weight.recycle();
-        grads.bias.recycle();
+        self.accumulate(grads.weight, grads.bias);
         grad.recycle();
         x.recycle();
         grads.input
+    }
+
+    fn backward_params(&mut self, grad: Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("conv2d backward before forward");
+        let (grad_weight, grad_bias) = conv2d_backward_params_fused(&grad, &x, &self.spec);
+        self.accumulate(grad_weight, grad_bias);
+        grad.recycle();
+        x.recycle();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {

@@ -42,6 +42,21 @@ impl Linear {
     pub fn out_features(&self) -> usize {
         self.weight.shape()[0]
     }
+
+    /// Consumes the cached input: dW += grad^T x, db += column sums.
+    fn accumulate_param_grads(&mut self, grad: &Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            .expect("linear backward called before forward");
+        let dw = grad.matmul_tn(&x);
+        self.grad_weight.axpy(1.0, &dw);
+        dw.recycle();
+        let db = grad.sum_rows();
+        self.grad_bias.axpy(1.0, &db);
+        db.recycle();
+        x.recycle();
+    }
 }
 
 impl Layer for Linear {
@@ -64,21 +79,16 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            .expect("linear backward called before forward");
-        // dW = grad^T x; db = column sums; dx = grad W.
-        let dw = grad.matmul_tn(&x);
-        self.grad_weight.axpy(1.0, &dw);
-        dw.recycle();
-        let db = grad.sum_rows();
-        self.grad_bias.axpy(1.0, &db);
-        db.recycle();
-        x.recycle();
+        self.accumulate_param_grads(&grad);
+        // dx = grad W.
         let dx = grad.matmul(&self.weight);
         grad.recycle();
         dx
+    }
+
+    fn backward_params(&mut self, grad: Tensor) {
+        self.accumulate_param_grads(&grad);
+        grad.recycle();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {

@@ -81,6 +81,27 @@ impl Sequential {
         cur
     }
 
+    /// Runs all layers backward like [`Sequential::backward`], but stops at
+    /// the parameter gradients of the first layer (see
+    /// [`Layer::backward_params`]): training discards the gradient w.r.t.
+    /// the model input, so it is never computed. Parameter gradients are
+    /// bitwise identical to `backward`'s.
+    pub fn backward_params(&mut self, grad: Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            grad.recycle();
+            return;
+        };
+        let mut cur = grad;
+        for (i, layer) in rest.iter_mut().enumerate().rev() {
+            let _s = span!(Level::Trace, target: "nn.layer", "backward",
+                layer = i + 1, kind = layer.kind());
+            cur = layer.backward(cur);
+        }
+        let _s = span!(Level::Trace, target: "nn.layer", "backward",
+            layer = 0usize, kind = first.kind());
+        first.backward_params(cur);
+    }
+
     /// Visits every parameter as `(name, trainable, value, grad)`.
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
         for layer in &mut self.layers {

@@ -6,10 +6,12 @@
 //! A counting allocator wraps `ProfAlloc` (which wraps `System`), so this
 //! measures the exact production stack: span gate -> prof allocator ->
 //! system. Own test binary: the allocator and trace gate are
-//! process-global.
+//! process-global, and the tests below serialize on [`GLOBAL_GATE`] because
+//! one of them starts a profiler session the other must never observe.
 
 use std::alloc::{GlobalAlloc, Layout};
 use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard};
 
 use apf_prof::alloc::ProfAlloc;
 use apf_trace::{event, span, Level};
@@ -47,6 +49,16 @@ fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
+/// Held by every test for its whole body: the profiler and the span-stack
+/// gate are process-global, and the harness runs tests concurrently.
+static GLOBAL_GATE: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other test should still report
+    // its own result rather than a poison error.
+    GLOBAL_GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// The span/event shapes the fedsim round loop and net round loop emit,
 /// with tracing AND profiling disabled.
 fn instrumentation_workload(iters: u64) -> u64 {
@@ -69,6 +81,7 @@ fn instrumentation_workload(iters: u64) -> u64 {
 
 #[test]
 fn disabled_profiler_and_tracing_do_not_allocate() {
+    let _gate = serialize();
     assert!(!apf_prof::is_running());
     assert!(!apf_trace::stack_tracking());
     // Warm-up excludes any lazy runtime setup from the measurement.
@@ -86,6 +99,7 @@ fn disabled_profiler_and_tracing_do_not_allocate() {
 
 #[test]
 fn enabling_then_disabling_restores_the_free_path() {
+    let _gate = serialize();
     // A completed profiling session must leave the disabled path free
     // again (modulo the retained per-thread stack registration).
     assert!(apf_prof::start(std::time::Duration::from_millis(1)));

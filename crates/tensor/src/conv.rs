@@ -10,6 +10,10 @@
 //! matrix they generate its entries *directly into the packed GEMM panels*
 //! (the B-operand packing closure of [`crate::gemm`]), so the column matrix
 //! never exists in memory and the working set per task is one KC×NR panel.
+//! Each fused call first copies its input into a zero-bordered scratch
+//! buffer, so the packers copy runs of it with no padding tests.
+//! [`conv2d_backward_params_fused`] is the backward pass without the input
+//! gradient, for a model's first layer.
 //! The unfused [`im2col`]/[`conv2d_forward`]/[`conv2d_backward`] entry
 //! points are kept — they are the reference the fused path is tested
 //! against, and some callers want the explicit matrix.
@@ -22,6 +26,7 @@
 //! to the unfused `matmul`-based path too.
 
 use crate::gemm;
+use crate::scratch;
 use crate::tensor::{rows_per_block, Tensor, PAR_OPS_MIN};
 
 /// Geometry of a 2-D convolution.
@@ -278,17 +283,30 @@ pub fn conv2d_backward(
     let hw = oh * ow;
     let grad_mat = rearrange_grad(grad_out, n, o, hw);
     let grad_weight = grad_mat.matmul_nt(cols); // [O, CKK]
-    let grad_bias = bias_sums(&grad_mat, n, o, hw);
-    let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
-    let (h, w) = input_hw;
-    let grad_input = col2im(&grad_cols, spec, n, h, w);
-    grad_cols.recycle();
+    let grad_bias = bias_sums(&grad_mat);
+    let grad_input = input_grad(&grad_mat, weight, spec, n, input_hw);
     grad_mat.recycle();
     Conv2dGrads {
         input: grad_input,
         weight: grad_weight,
         bias: grad_bias,
     }
+}
+
+/// The input gradient from the rearranged `grad_mat [O, N*oh*ow]`:
+/// `weightᵀ · grad_mat` gives the column-matrix gradient, which [`col2im`]
+/// folds back into `[N, C, H, W]`.
+fn input_grad(
+    grad_mat: &Tensor,
+    weight: &Tensor,
+    spec: &ConvSpec,
+    n: usize,
+    (h, w): (usize, usize),
+) -> Tensor {
+    let grad_cols = weight.matmul_tn(grad_mat); // [CKK, N*oh*ow]
+    let grad_input = col2im(&grad_cols, spec, n, h, w);
+    grad_cols.recycle();
+    grad_input
 }
 
 /// Rearranges `grad_out` `[N,O,oh,ow]` into `[O, N*oh*ow]` (mirroring the
@@ -309,11 +327,12 @@ fn rearrange_grad(grad_out: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
 }
 
 /// Per-output-channel sums of `grad_mat` `[O, N*oh*ow]` (the bias gradient).
-fn bias_sums(grad_mat: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
+fn bias_sums(grad_mat: &Tensor) -> Tensor {
+    let (o, cols_w) = (grad_mat.shape()[0], grad_mat.shape()[1]);
     let mut b = Tensor::scratch(&[o]);
     let gm = grad_mat.data();
-    for (oi, bo) in b.data_mut().iter_mut().enumerate() {
-        *bo = gm[oi * n * hw..(oi + 1) * n * hw].iter().sum();
+    for (bo, row) in b.data_mut().iter_mut().zip(gm.chunks_exact(cols_w.max(1))) {
+        *bo = row.iter().sum();
     }
     b
 }
@@ -321,140 +340,194 @@ fn bias_sums(grad_mat: &Tensor, n: usize, o: usize, hw: usize) -> Tensor {
 /// Convolution geometry prepared for generating im2col entries on the fly.
 ///
 /// The fused GEMM path never materializes the `[C*k*k, N*oh*ow]` column
-/// matrix; instead the B-operand packing closures ask this struct for spans
-/// of it, computed straight from the input tensor. Entry `(row, col)` of the
-/// virtual matrix is `input[ni, ci, iy, ix]` with
-/// `row = ci*k*k + ky*k + kx`, `col = ni*oh*ow + oy*ow + ox`,
-/// `iy = oy*stride + ky - pad`, `ix = ox*stride + kx - pad` (0.0 when the
-/// sample falls in the zero padding) — exactly what [`im2col`] writes, so
-/// the fused and unfused paths feed the GEMM bitwise-identical panels.
+/// matrix; instead the B-operand packing closures copy spans of it straight
+/// out of a zero-bordered copy of the input (see [`pad_input`]). Entry
+/// `(row, col)` of the virtual matrix, with `row = ci*k*k + ky*k + kx` and
+/// `col = ni*oh*ow + oy*ow + ox`, is `input[ni, ci, iy, ix]` at
+/// `iy = oy*stride + ky - pad`, `ix = ox*stride + kx - pad` (0.0 in the
+/// padding) — exactly what [`im2col`] writes. In the padded `[N, C, hp, wp]`
+/// buffer that entry sits at `row_offset(row) + col_offset(col)`, with
+/// `row_offset = ci*hp*wp + ky*wp + kx` and
+/// `col_offset = ni*C*hp*wp + oy*stride*wp + ox*stride`: one in-bounds load,
+/// no padding test. Along one output row consecutive columns are `stride`
+/// apart, so a run of them is a contiguous (or evenly strided) slice.
 struct ColsGeom {
-    c: usize,
-    h: usize,
-    w: usize,
     k: usize,
     stride: usize,
-    pad: isize,
     oh: usize,
     ow: usize,
+    /// Padded plane width `W + 2*pad`.
+    wp: usize,
+    /// Padded plane size `(H + 2*pad) * (W + 2*pad)`.
+    plane: usize,
+    /// Padded sample size `C * plane`.
+    sample: usize,
 }
 
 impl ColsGeom {
     fn new(spec: &ConvSpec, h: usize, w: usize) -> Self {
         let (oh, ow) = spec.out_size(h, w);
+        let (hp, wp) = (h + 2 * spec.padding, w + 2 * spec.padding);
         ColsGeom {
-            c: spec.in_channels,
-            h,
-            w,
             k: spec.kernel,
             stride: spec.stride,
-            pad: spec.padding as isize,
             oh,
             ow,
+            wp,
+            plane: hp * wp,
+            sample: spec.in_channels * hp * wp,
         }
     }
 
-    /// Decomposes a virtual-matrix row index into `(ci, ky, kx)`.
-    #[inline]
-    fn row_parts(&self, row: usize) -> (usize, usize, usize) {
-        (
-            row / (self.k * self.k),
-            (row / self.k) % self.k,
-            row % self.k,
-        )
-    }
-
-    /// Fills `dst[j] = cols[row][col0 + j]`, walking output-row runs so the
-    /// inner loop stays within one input row.
-    fn fill_row_span(&self, data: &[f32], row: usize, col0: usize, dst: &mut [f32]) {
-        let (ci, ky, kx) = self.row_parts(row);
-        let ohw = self.oh * self.ow;
-        let mut j = 0;
-        while j < dst.len() {
-            let col = col0 + j;
-            let ni = col / ohw;
-            let rem = col % ohw;
-            let (oy, ox0) = (rem / self.ow, rem % self.ow);
-            let run = (self.ow - ox0).min(dst.len() - j);
-            let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-            if iy < 0 || iy >= self.h as isize {
-                dst[j..j + run].fill(0.0);
-            } else {
-                let in_row =
-                    &data[((ni * self.c + ci) * self.h + iy as usize) * self.w..][..self.w];
-                for (t, d) in dst[j..j + run].iter_mut().enumerate() {
-                    let ix = ((ox0 + t) * self.stride) as isize + kx as isize - self.pad;
-                    *d = if ix < 0 || ix >= self.w as isize {
-                        0.0
-                    } else {
-                        in_row[ix as usize]
-                    };
+    /// Fills `out[i]` with the padded-input offset of virtual row `row0 + i`
+    /// (its `(ci, ky, kx)` part), stepping the indices instead of dividing.
+    fn row_offsets(&self, row0: usize, out: &mut [usize]) {
+        let k = self.k;
+        let (mut ci, mut ky, mut kx) = (row0 / (k * k), (row0 / k) % k, row0 % k);
+        for o in out {
+            *o = ci * self.plane + ky * self.wp + kx;
+            kx += 1;
+            if kx == k {
+                kx = 0;
+                ky += 1;
+                if ky == k {
+                    ky = 0;
+                    ci += 1;
                 }
             }
+        }
+    }
+
+    /// Walks virtual columns `col0..col0+len` in runs that stay within one
+    /// output row, calling `f(j, run, base)`: columns `col0+j..col0+j+run`
+    /// sit at padded-input offsets `base + t*stride` (plus a row offset).
+    fn for_each_run(&self, col0: usize, len: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let ohw = self.oh * self.ow;
+        let (mut ni, rem) = (col0 / ohw, col0 % ohw);
+        let (mut oy, mut ox) = (rem / self.ow, rem % self.ow);
+        let mut j = 0;
+        while j < len {
+            let run = (self.ow - ox).min(len - j);
+            f(j, run, ni * self.sample + (oy * self.wp + ox) * self.stride);
             j += run;
+            ox = 0;
+            oy += 1;
+            if oy == self.oh {
+                oy = 0;
+                ni += 1;
+            }
         }
     }
 
     /// B-packing closure body for the forward GEMM: NR-column panels of
-    /// `cols` at depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff`.
+    /// `cols` at depth `pc..pc+kc_eff`, columns `jc..jc+nc_eff`, read from
+    /// the padded input `src`. A run of NR columns at stride 1 is one
+    /// NR-wide slice copy per row; shorter or strided runs are gathers.
     fn pack_cols_panels(
         &self,
-        data: &[f32],
+        src: &[f32],
         dst: &mut [f32],
         pc: usize,
         kc_eff: usize,
         jc: usize,
         nc_eff: usize,
     ) {
-        for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-            let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            let col0 = jc + jr * gemm::NR;
-            for p in 0..kc_eff {
-                let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                self.fill_row_span(data, pc + p, col0, &mut out[..cols_n]);
-                out[cols_n..].fill(0.0);
+        const NR: usize = gemm::NR;
+        let mut rows = [0usize; gemm::KC];
+        let rows = &mut rows[..kc_eff];
+        self.row_offsets(pc, rows);
+        let stride = self.stride;
+        for (jr, panel) in dst.chunks_exact_mut(kc_eff * NR).enumerate() {
+            let cols_n = NR.min(nc_eff - jr * NR);
+            self.for_each_run(jc + jr * NR, cols_n, |j, run, base| {
+                if run == NR && stride == 1 {
+                    for (out, &r) in panel.chunks_exact_mut(NR).zip(rows.iter()) {
+                        out.copy_from_slice(&src[r + base..][..NR]);
+                    }
+                } else {
+                    for (out, &r) in panel.chunks_exact_mut(NR).zip(rows.iter()) {
+                        let seg = src[r + base..].iter().step_by(stride);
+                        for (o, &v) in out[j..j + run].iter_mut().zip(seg) {
+                            *o = v;
+                        }
+                    }
+                }
+            });
+            if cols_n < NR {
+                for out in panel.chunks_exact_mut(NR) {
+                    out[cols_n..].fill(0.0);
+                }
             }
         }
     }
 
     /// B-packing closure body for the grad-weight GEMM, whose B operand is
     /// the *transpose* `colsᵀ [N*oh*ow, C*k*k]`: panel entry `(p, j)` is
-    /// `cols[jc + j][pc + p]`. Row decompositions are hoisted per panel.
+    /// `cols[jc + j][pc + p]`. The panel's NR row offsets are looked up
+    /// once; then each packed row `p` (one output position) is NR loads at
+    /// those offsets plus the position's offset, stored contiguously. On
+    /// LeNet-5's conv1 this beat a lane-by-lane walk along `ox` (contiguous
+    /// reads, NR-strided writes).
     fn pack_cols_t_panels(
         &self,
-        data: &[f32],
+        src: &[f32],
         dst: &mut [f32],
         pc: usize,
         kc_eff: usize,
         jc: usize,
         nc_eff: usize,
     ) {
-        let ohw = self.oh * self.ow;
-        for (jr, panel) in dst.chunks_exact_mut(kc_eff * gemm::NR).enumerate() {
-            let cols_n = gemm::NR.min(nc_eff - jr * gemm::NR);
-            let mut rows = [(0usize, 0usize, 0usize); gemm::NR];
-            for (j, r) in rows.iter_mut().enumerate().take(cols_n) {
-                *r = self.row_parts(jc + jr * gemm::NR + j);
-            }
-            for p in 0..kc_eff {
-                let col = pc + p;
-                let ni = col / ohw;
-                let rem = col % ohw;
-                let (oy, ox) = (rem / self.ow, rem % self.ow);
-                let out = &mut panel[p * gemm::NR..(p + 1) * gemm::NR];
-                for (o, &(ci, ky, kx)) in out.iter_mut().zip(&rows).take(cols_n) {
-                    let iy = (oy * self.stride) as isize + ky as isize - self.pad;
-                    let ix = (ox * self.stride) as isize + kx as isize - self.pad;
-                    *o = if iy < 0 || iy >= self.h as isize || ix < 0 || ix >= self.w as isize {
-                        0.0
-                    } else {
-                        data[((ni * self.c + ci) * self.h + iy as usize) * self.w + ix as usize]
-                    };
+        const NR: usize = gemm::NR;
+        let stride = self.stride;
+        for (jr, panel) in dst.chunks_exact_mut(kc_eff * NR).enumerate() {
+            let rows_n = NR.min(nc_eff - jr * NR);
+            let mut rows = [0usize; NR];
+            self.row_offsets(jc + jr * NR, &mut rows[..rows_n]);
+            let rows = &rows[..rows_n];
+            self.for_each_run(pc, kc_eff, |p, run, base| {
+                for (t, out) in panel[p * NR..(p + run) * NR]
+                    .chunks_exact_mut(NR)
+                    .enumerate()
+                {
+                    let off = base + t * stride;
+                    for (o, &r) in out.iter_mut().zip(rows) {
+                        *o = src[r + off];
+                    }
                 }
-                out[cols_n..].fill(0.0);
+            });
+            if rows_n < NR {
+                for out in panel.chunks_exact_mut(NR) {
+                    out[rows_n..].fill(0.0);
+                }
             }
         }
     }
+}
+
+/// Copies `input` `[N, C, H, W]` into a zero-bordered scratch buffer
+/// `[N, C, H+2p, W+2p]` (the layout [`ColsGeom`] indexes), or returns
+/// `None` when `padding == 0` and the input already has that layout. Give
+/// the buffer back with [`crate::scratch::give`].
+fn pad_input(input: &Tensor, padding: usize) -> Option<Vec<f32>> {
+    if padding == 0 {
+        return None;
+    }
+    let s = input.shape();
+    let (n, c, h, w) = (s[0], s[1], s[2], s[3]);
+    let wp = w + 2 * padding;
+    let plane = (h + 2 * padding) * wp;
+    let mut out = scratch::take(n * c * plane);
+    if h * w > 0 {
+        for (dst, src) in out
+            .chunks_exact_mut(plane)
+            .zip(input.data().chunks_exact(h * w))
+        {
+            for (y, row) in src.chunks_exact(w).enumerate() {
+                dst[(y + padding) * wp + padding..][..w].copy_from_slice(row);
+            }
+        }
+    }
+    Some(out)
 }
 
 /// Fused 2-D convolution forward pass: im2col directly into the packed GEMM
@@ -499,7 +572,8 @@ pub fn conv2d_forward_fused(
     }
     let geom = ColsGeom::new(spec, h, w);
     let wdata = weight.data();
-    let idata = input.data();
+    let padded = pad_input(input, spec.padding);
+    let src = padded.as_deref().unwrap_or(input.data());
     let mut out_mat = Tensor::scratch(&[o, cols_w]);
     gemm::gemm_packed(
         o,
@@ -509,10 +583,13 @@ pub fn conv2d_forward_fused(
             gemm::pack_a_rowmajor(dst, wdata, ckk, ic, mc_eff, pc, kc_eff)
         },
         &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-            geom.pack_cols_panels(idata, dst, pc, kc_eff, jc, nc_eff)
+            geom.pack_cols_panels(src, dst, pc, kc_eff, jc, nc_eff)
         },
         out_mat.data_mut(),
     );
+    if let Some(buf) = padded {
+        scratch::give(buf);
+    }
     let hw = oh * ow;
     let mut out = Tensor::scratch(&[n, o, oh, ow]);
     assemble_output(out.data_mut(), out_mat.data(), bias.data(), n, o, hw);
@@ -521,23 +598,115 @@ pub fn conv2d_forward_fused(
     if ops <= gemm::REF_CHECK_OPS_MAX {
         let (want, cols) = conv2d_forward(input, weight, bias, spec);
         cols.recycle();
-        for (i, (g, r)) in out.data().iter().zip(want.data()).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                r.to_bits(),
-                "fused conv2d forward diverged from unfused at {i}: {g} vs {r}"
-            );
-        }
+        assert_bitwise("forward", &out, &want);
         want.recycle();
     }
     out
 }
 
+/// Checks `grad_out`/`input` against `spec` and returns
+/// `(n, o, oh, ow, h, w)`.
+fn backward_dims(
+    grad_out: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+) -> (usize, usize, usize, usize, usize, usize) {
+    let s = grad_out.shape();
+    assert_eq!(s.len(), 4, "grad_out must be [N,O,oh,ow]");
+    let (n, o, oh, ow) = (s[0], s[1], s[2], s[3]);
+    assert_eq!(o, spec.out_channels);
+    let si = input.shape();
+    assert_eq!(si.len(), 4, "input must be [N,C,H,W]");
+    let (c, h, w) = (si[1], si[2], si[3]);
+    assert_eq!(si[0], n, "batch mismatch");
+    assert_eq!(c, spec.in_channels, "channel mismatch");
+    assert_eq!(spec.out_size(h, w), (oh, ow), "conv geometry mismatch");
+    (n, o, oh, ow, h, w)
+}
+
+/// Weight and bias gradients from the rearranged `grad_mat [O, N*oh*ow]`:
+/// the grad-weight GEMM regenerates the column entries (transposed) from
+/// the padded input straight into its packed B panels.
+fn param_grads_packed(
+    grad_mat: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+    (h, w): (usize, usize),
+) -> (Tensor, Tensor) {
+    let (o, cols_w) = (grad_mat.shape()[0], grad_mat.shape()[1]);
+    let ckk = spec.in_channels * spec.kernel * spec.kernel;
+    let geom = ColsGeom::new(spec, h, w);
+    let gm = grad_mat.data();
+    let padded = pad_input(input, spec.padding);
+    let src = padded.as_deref().unwrap_or(input.data());
+    // grad_weight [O, CKK] = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK].
+    let mut grad_weight = Tensor::scratch(&[o, ckk]);
+    gemm::gemm_packed(
+        o,
+        cols_w,
+        ckk,
+        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
+            gemm::pack_a_rowmajor(dst, gm, cols_w, ic, mc_eff, pc, kc_eff)
+        },
+        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
+            geom.pack_cols_t_panels(src, dst, pc, kc_eff, jc, nc_eff)
+        },
+        grad_weight.data_mut(),
+    );
+    if let Some(buf) = padded {
+        scratch::give(buf);
+    }
+    (grad_weight, bias_sums(grad_mat))
+}
+
+/// Fused 2-D convolution backward pass for the weight and bias only:
+/// returns `(grad_weight [O, C*k*k], grad_bias [O])` and skips the
+/// input-gradient GEMM and col2im entirely — what a model's first layer
+/// needs, since nothing reads its input gradient. Bitwise identical to the
+/// corresponding fields of [`conv2d_backward_fused`] and of the unfused
+/// [`conv2d_backward`].
+///
+/// # Panics
+/// Panics on any shape mismatch.
+pub fn conv2d_backward_params_fused(
+    grad_out: &Tensor,
+    input: &Tensor,
+    spec: &ConvSpec,
+) -> (Tensor, Tensor) {
+    let (n, o, oh, ow, h, w) = backward_dims(grad_out, input, spec);
+    let hw = oh * ow;
+    let ops = o * n * hw * spec.in_channels * spec.kernel * spec.kernel;
+    let grad_mat = rearrange_grad(grad_out, n, o, hw);
+    let (grad_weight, grad_bias) = if ops < gemm::PACK_OPS_MIN {
+        param_grads_unfused(&grad_mat, input, spec)
+    } else {
+        param_grads_packed(&grad_mat, input, spec, (h, w))
+    };
+    #[cfg(debug_assertions)]
+    if ops <= gemm::REF_CHECK_OPS_MAX {
+        let (want_weight, want_bias) = param_grads_unfused(&grad_mat, input, spec);
+        assert_bitwise("backward grad_weight", &grad_weight, &want_weight);
+        assert_bitwise("backward grad_bias", &grad_bias, &want_bias);
+    }
+    grad_mat.recycle();
+    (grad_weight, grad_bias)
+}
+
+/// Weight and bias gradients through the materialized im2col matrix: the
+/// small-problem path, and the oracle for [`param_grads_packed`].
+fn param_grads_unfused(grad_mat: &Tensor, input: &Tensor, spec: &ConvSpec) -> (Tensor, Tensor) {
+    let cols = im2col(input, spec);
+    let grad_weight = grad_mat.matmul_nt(&cols);
+    cols.recycle();
+    (grad_weight, bias_sums(grad_mat))
+}
+
 /// Fused 2-D convolution backward pass.
 ///
 /// Unlike [`conv2d_backward`] it takes the forward `input` instead of the
-/// cached im2col matrix: the grad-weight GEMM regenerates the column entries
-/// (transposed) directly into its packed B panels. Gradients are bitwise
+/// cached im2col matrix: the weight and bias gradients are
+/// [`conv2d_backward_params_fused`]'s, and the input gradient is the
+/// `weightᵀ · grad` GEMM folded back by [`col2im`]. Gradients are bitwise
 /// identical to the unfused path (asserted in debug builds for small
 /// problems).
 ///
@@ -549,21 +718,9 @@ pub fn conv2d_backward_fused(
     weight: &Tensor,
     spec: &ConvSpec,
 ) -> Conv2dGrads {
-    let s = grad_out.shape();
-    assert_eq!(s.len(), 4, "grad_out must be [N,O,oh,ow]");
-    let (n, o, oh, ow) = (s[0], s[1], s[2], s[3]);
-    assert_eq!(o, spec.out_channels);
-    let si = input.shape();
-    assert_eq!(si.len(), 4, "input must be [N,C,H,W]");
-    let (c, h, w) = (si[1], si[2], si[3]);
-    assert_eq!(si[0], n, "batch mismatch");
-    assert_eq!(c, spec.in_channels, "channel mismatch");
-    assert_eq!(spec.out_size(h, w), (oh, ow), "conv geometry mismatch");
-    let k = spec.kernel;
-    let ckk = c * k * k;
+    let (n, o, oh, ow, h, w) = backward_dims(grad_out, input, spec);
     let hw = oh * ow;
-    let cols_w = n * hw;
-    let ops = o * cols_w * ckk;
+    let ops = o * n * hw * spec.in_channels * spec.kernel * spec.kernel;
     if ops < gemm::PACK_OPS_MIN {
         let cols = im2col(input, spec);
         let grads = conv2d_backward(grad_out, &cols, weight, spec, (h, w));
@@ -571,51 +728,35 @@ pub fn conv2d_backward_fused(
         return grads;
     }
     let grad_mat = rearrange_grad(grad_out, n, o, hw);
-    let geom = ColsGeom::new(spec, h, w);
-    let gm = grad_mat.data();
-    let idata = input.data();
-    // grad_weight [O, CKK] = grad_mat [O, N*hw] · colsᵀ [N*hw, CKK].
-    let mut grad_weight = Tensor::scratch(&[o, ckk]);
-    gemm::gemm_packed(
-        o,
-        cols_w,
-        ckk,
-        &|dst: &mut [f32], ic, mc_eff, pc, kc_eff| {
-            gemm::pack_a_rowmajor(dst, gm, cols_w, ic, mc_eff, pc, kc_eff)
-        },
-        &|dst: &mut [f32], pc, kc_eff, jc, nc_eff| {
-            geom.pack_cols_t_panels(idata, dst, pc, kc_eff, jc, nc_eff)
-        },
-        grad_weight.data_mut(),
-    );
-    let grad_bias = bias_sums(&grad_mat, n, o, hw);
-    let grad_cols = weight.matmul_tn(&grad_mat); // [CKK, N*oh*ow]
-    let grad_input = col2im(&grad_cols, spec, n, h, w);
-    grad_cols.recycle();
+    let (grad_weight, grad_bias) = param_grads_packed(&grad_mat, input, spec, (h, w));
+    let grad_input = input_grad(&grad_mat, weight, spec, n, (h, w));
     grad_mat.recycle();
     #[cfg(debug_assertions)]
     if ops <= gemm::REF_CHECK_OPS_MAX {
         let cols = im2col(input, spec);
         let want = conv2d_backward(grad_out, &cols, weight, spec, (h, w));
         cols.recycle();
-        for (what, got_t, want_t) in [
-            ("input", &grad_input, &want.input),
-            ("weight", &grad_weight, &want.weight),
-            ("bias", &grad_bias, &want.bias),
-        ] {
-            for (i, (g, r)) in got_t.data().iter().zip(want_t.data()).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    r.to_bits(),
-                    "fused conv2d backward grad_{what} diverged at {i}: {g} vs {r}"
-                );
-            }
-        }
+        assert_bitwise("backward grad_input", &grad_input, &want.input);
+        assert_bitwise("backward grad_weight", &grad_weight, &want.weight);
+        assert_bitwise("backward grad_bias", &grad_bias, &want.bias);
     }
     Conv2dGrads {
         input: grad_input,
         weight: grad_weight,
         bias: grad_bias,
+    }
+}
+
+/// Debug-build check that a fused result matches the unfused oracle bit for
+/// bit.
+#[cfg(debug_assertions)]
+fn assert_bitwise(what: &str, got: &Tensor, want: &Tensor) {
+    for (i, (g, r)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(
+            g.to_bits(),
+            r.to_bits(),
+            "fused conv2d {what} diverged from unfused at {i}: {g} vs {r}"
+        );
     }
 }
 

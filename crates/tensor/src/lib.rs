@@ -35,8 +35,8 @@ mod tensor;
 
 pub use conv::{
     avgpool2d_backward, avgpool2d_forward, col2im, conv2d_backward, conv2d_backward_fused,
-    conv2d_forward, conv2d_forward_fused, im2col, maxpool2d_backward, maxpool2d_forward,
-    Conv2dGrads, ConvSpec, PoolSpec,
+    conv2d_backward_params_fused, conv2d_forward, conv2d_forward_fused, im2col, maxpool2d_backward,
+    maxpool2d_forward, Conv2dGrads, ConvSpec, PoolSpec,
 };
 pub use init::{kaiming_uniform, normal_init, sample_normal, uniform_init, xavier_uniform};
 pub use masked::{mask_copy, mask_fill, mask_scatter, mask_select, masked_axpy, masked_div};

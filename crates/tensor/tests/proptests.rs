@@ -3,6 +3,11 @@
 use apf_tensor::{col2im, im2col, l2_norm, percentile, ConvSpec, PoolSpec, Tensor};
 use apf_testkit::{f32s, prop_assert, prop_assume, property, u64s, usizes, vecs};
 
+/// The bit patterns of `t`'s elements (so `-0.0 != 0.0` and NaNs compare).
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
 /// A deterministic `[m, n]` matrix with entries in `[-10, 10)`.
 fn matrix(m: usize, n: usize, seed: u64) -> Tensor {
     let mut rng = apf_tensor::seeded_rng(seed);
@@ -272,6 +277,50 @@ property! {
             prop_assert!(grads.input == want.input, "fused grad input differs at threads={t}");
             prop_assert!(grads.weight == want.weight, "fused grad weight differs at threads={t}");
             prop_assert!(grads.bias == want.bias, "fused grad bias differs at threads={t}");
+        }
+    }
+
+    // -- The fused packers read a zero-bordered copy of the input in
+    // -- output-row runs. Random geometry (kernel, stride, padding) and
+    // -- batch sizes make N·oh·ow land off multiples of NR and of ow, so
+    // -- panels cross output rows, samples and padding.
+
+    fn fused_conv_packers_bitwise_match_unfused(
+        geom in usizes(0..18),
+        c in usizes(1..5),
+        o in usizes(1..10),
+        hw in usizes(5..14),
+        n in usizes(1..6),
+        seed in u64s(0..1000),
+    ) {
+        let (kernel, stride, padding) = ([1, 3, 5][geom % 3], 1 + geom / 3 % 2, geom / 6);
+        let spec = ConvSpec { in_channels: c, out_channels: o, kernel, stride, padding };
+        let input = Tensor::from_vec(
+            (0..n * c * hw * hw)
+                .map(|i| ((apf_tensor::splitmix64(seed ^ i as u64) % 200) as f32 / 100.0) - 1.0)
+                .collect(),
+            &[n, c, hw, hw],
+        );
+        let weight = matrix(o, c * kernel * kernel, seed ^ 0x17);
+        let bias = matrix(1, o, seed ^ 0x29).reshape(&[o]);
+        let (want_out, cols) = apf_tensor::conv2d_forward(&input, &weight, &bias, &spec);
+        let grad_out = want_out.map(|x| x * 0.25 - 0.1);
+        let want = apf_tensor::conv2d_backward(&grad_out, &cols, &weight, &spec, (hw, hw));
+        for t in [1usize, 2, 7] {
+            let (out, grads, params) = apf_par::with_threads(t, || {
+                (
+                    apf_tensor::conv2d_forward_fused(&input, &weight, &bias, &spec),
+                    apf_tensor::conv2d_backward_fused(&grad_out, &input, &weight, &spec),
+                    apf_tensor::conv2d_backward_params_fused(&grad_out, &input, &spec),
+                )
+            });
+            let ctx = format!("{spec:?} n={n} hw={hw} threads={t}");
+            prop_assert!(bits(&out) == bits(&want_out), "fused forward differs: {ctx}");
+            prop_assert!(bits(&grads.input) == bits(&want.input), "grad input differs: {ctx}");
+            prop_assert!(bits(&grads.weight) == bits(&want.weight), "grad weight differs: {ctx}");
+            prop_assert!(bits(&grads.bias) == bits(&want.bias), "grad bias differs: {ctx}");
+            prop_assert!(bits(&params.0) == bits(&want.weight), "params-only weight differs: {ctx}");
+            prop_assert!(bits(&params.1) == bits(&want.bias), "params-only bias differs: {ctx}");
         }
     }
 
