@@ -17,6 +17,18 @@
 //! real `[16, 3, 16, 16]` batch, forward plus the parameters-only backward
 //! the first layer runs.
 //!
+//! The host's speed drifts (other tenants, frequency changes), so absolute
+//! figures from two runs minutes apart do not compare. Every timed kernel
+//! is therefore also reported *relative to a same-run reference*: its
+//! samples interleave with samples of a fixed workload (plain 64³ matmuls
+//! defined in this file, one copy per pool thread) and the `*_rel` fields
+//! carry the median kernel/reference ratio — throughputs as kernel GFLOP/s
+//! over reference GFLOP/s, times as multiples of one reference call — with
+//! `*_rel_spread`, their interquartile range over the median. Samples pool
+//! over three passes across all thread counts. Regression checks gate on
+//! the `*_rel` fields, allowing for the noise the spreads record; the
+//! absolute figures stay for reading.
+//!
 //! A freeze-aware sweep rides along: skip-frozen SGD/Adam step time and
 //! run-driven sparse aggregation over a 2^20-scalar vector at frozen ratios
 //! 0/50/90/99% (block-clustered masks, the spatial shape real APF masks
@@ -70,7 +82,7 @@ use std::time::Instant;
 static ALLOC: apf_prof::alloc::ProfAlloc = apf_prof::alloc::ProfAlloc;
 
 use apf::{ApfConfig, FreezeMask};
-use apf_bench::harness::{black_box, BenchGroup};
+use apf_bench::harness::{black_box, calibrate, sample, BenchGroup, Ratio};
 use apf_bench::setups::{standard_builder, ModelKind, Scale};
 use apf_data::{iid_partition, Dataset, SynthImageGen};
 use apf_fedsim::{
@@ -86,8 +98,19 @@ use apf_tensor::{
 
 /// Square matmul side for the throughput probe.
 const MM_N: usize = 192;
-/// Federated rounds timed per thread count.
-const ROUNDS: usize = 2;
+/// Pool sizes the kernel and round probes run at.
+const THREADS: [usize; 3] = [1, 2, 4];
+/// Passes over every (thread count, probe) pair. Relative samples pool
+/// across passes, so each figure's median and spread span several seconds
+/// of the host's states instead of one probe's fraction of a second.
+const PASSES: usize = 3;
+/// Federated rounds timed per thread count and pass.
+const ROUNDS: usize = 10;
+/// Side of the reference workload's square matrices.
+const REF_N: usize = 64;
+/// Products one reference call computes per thread (sized so a call is
+/// well above the pool's per-call dispatch cost).
+const REF_REPS: usize = 4;
 /// Scalars in each masked-compute probe (a mid-sized model's flat vector).
 const MASKED_N: usize = 1 << 20;
 /// Frozen-block granularity for the synthetic masks. Real APF masks are
@@ -121,6 +144,9 @@ struct ThreadResult {
     conv2d_gflops: f64,
     conv1_gflops: f64,
     round_ms: f64,
+    /// `[matmul, conv2d, conv1]` GFLOP/s over the reference's GFLOP/s,
+    /// then the round wall time in reference calls.
+    rel: [Ratio; 4],
 }
 
 struct MaskedResult {
@@ -128,6 +154,8 @@ struct MaskedResult {
     sgd_step_ms: f64,
     adam_step_ms: f64,
     agg_ms: f64,
+    /// `[sgd_step, adam_step, agg]` times in reference calls.
+    rel: [f64; 3],
 }
 
 struct PopulationResult {
@@ -143,15 +171,79 @@ struct PopulationResult {
     registry_clients: usize,
 }
 
-fn bench_matmul(g: &mut BenchGroup, threads: usize) -> f64 {
+/// The same-run yardstick every timed kernel is divided by: a plain
+/// `i-k-j` f32 matmul of two [`REF_N`]-square matrices, defined here rather
+/// than borrowed from the library so no kernel change can move it. One
+/// copy runs on each pool thread at once, so a row at `t` threads is
+/// measured against what `t` cores deliver at that moment.
+struct Reference {
+    a: Vec<f32>,
+    b: Vec<f32>,
+}
+
+impl Reference {
+    fn new() -> Self {
+        let mut rng = seeded_rng(3);
+        let mut mat = || normal_init(&[REF_N * REF_N], 0.0, 1.0, &mut rng).into_vec();
+        Reference { a: mat(), b: mat() }
+    }
+
+    /// One call: [`REF_REPS`] × [`REF_N`]³ multiply-adds on each of the
+    /// pool's threads.
+    fn run(&self) {
+        apf_par::parallel_for_each(apf_par::threads(), |_| {
+            let mut c = [0.0f32; REF_N * REF_N];
+            for _ in 0..REF_REPS {
+                for (i, row) in c.chunks_exact_mut(REF_N).enumerate() {
+                    for (k, &aik) in self.a[i * REF_N..][..REF_N].iter().enumerate() {
+                        for (cij, &bkj) in row.iter_mut().zip(&self.b[k * REF_N..][..REF_N]) {
+                            *cij += aik * bkj;
+                        }
+                    }
+                }
+                black_box(&mut c);
+            }
+        });
+    }
+
+    /// Floating-point operations in one [`Reference::run`] call.
+    fn flops() -> f64 {
+        2.0 * (REF_REPS * REF_N * REF_N * REF_N * apf_par::threads()) as f64
+    }
+
+    /// Times `f` (`flops` per call) interleaved with the reference and
+    /// returns its GFLOP/s and, per sample pair, its GFLOP/s relative to
+    /// the reference's. Absolute GFLOP/s come from the fastest sample (the
+    /// noise floor).
+    fn throughput(
+        &self,
+        g: &mut BenchGroup,
+        label: &str,
+        flops: f64,
+        f: impl FnMut(),
+    ) -> (f64, Vec<f64>) {
+        let (m, ratios) = g.bench_vs(label, f, || self.run());
+        let per_ref = flops / Self::flops();
+        let gflops = flops / m.min.as_secs_f64() / 1e9;
+        (gflops, ratios.into_iter().map(|x| per_ref / x).collect())
+    }
+
+    /// Times `f` interleaved with the reference and returns `(fastest
+    /// sample in ms, median time in reference calls)`.
+    fn time(&self, g: &mut BenchGroup, label: &str, f: impl FnMut()) -> (f64, f64) {
+        let (m, ratios) = g.bench_vs(label, f, || self.run());
+        (m.min.as_secs_f64() * 1e3, Ratio::of(ratios).median)
+    }
+}
+
+fn bench_matmul(g: &mut BenchGroup, r: &Reference, threads: usize) -> (f64, Vec<f64>) {
     let mut rng = seeded_rng(7);
     let a = normal_init(&[MM_N, MM_N], 0.0, 1.0, &mut rng);
     let b = normal_init(&[MM_N, MM_N], 0.0, 1.0, &mut rng);
-    let m = g.bench(&format!("matmul{MM_N}_t{threads}"), || {
-        black_box(a.matmul(&b)).recycle();
-    });
     let flops = 2.0 * (MM_N as f64).powi(3);
-    flops / m.min.as_secs_f64() / 1e9
+    r.throughput(g, &format!("matmul{MM_N}_t{threads}"), flops, || {
+        black_box(a.matmul(&b)).recycle();
+    })
 }
 
 /// Times the naive reference matmul once (it is serial, so thread count is
@@ -188,7 +280,7 @@ fn measure_scratch_misses_steady() -> u64 {
     })
 }
 
-fn bench_conv2d(g: &mut BenchGroup, threads: usize) -> f64 {
+fn bench_conv2d(g: &mut BenchGroup, r: &Reference, threads: usize) -> (f64, Vec<f64>) {
     let mut rng = seeded_rng(7);
     // The LeNet-5 second conv at batch 8: the workspace's canonical conv probe.
     let spec = ConvSpec {
@@ -210,21 +302,20 @@ fn bench_conv2d(g: &mut BenchGroup, threads: usize) -> f64 {
         &mut rng,
     );
     let bias = Tensor::zeros(&[spec.out_channels]);
-    let m = g.bench(&format!("conv2d_t{threads}"), || {
-        black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
-    });
     let (oh, ow) = spec.out_size(h, w);
     let flops = 2.0
         * (n * oh * ow) as f64
         * spec.out_channels as f64
         * (spec.in_channels * spec.kernel * spec.kernel) as f64;
-    flops / m.min.as_secs_f64() / 1e9
+    r.throughput(g, &format!("conv2d_t{threads}"), flops, || {
+        black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
+    })
 }
 
 /// LeNet-5's first conv at its training shape (batch 16, `[3, 16, 16]`
 /// images): one forward pass plus the parameters-only backward pass
 /// (weight and bias gradients; a first layer computes no input gradient).
-fn bench_conv1(g: &mut BenchGroup, threads: usize) -> f64 {
+fn bench_conv1(g: &mut BenchGroup, r: &Reference, threads: usize) -> (f64, Vec<f64>) {
     let mut rng = seeded_rng(7);
     let spec = ConvSpec {
         in_channels: models::IMAGE_CHANNELS,
@@ -241,20 +332,21 @@ fn bench_conv1(g: &mut BenchGroup, threads: usize) -> f64 {
     let bias = Tensor::zeros(&[spec.out_channels]);
     let (oh, ow) = spec.out_size(side, side);
     let grad = normal_init(&[n, spec.out_channels, oh, ow], 0.0, 0.01, &mut rng);
-    let m = g.bench(&format!("conv1_t{threads}"), || {
+    // Forward and grad-weight GEMMs have the same multiply-add count.
+    let flops = 2.0 * 2.0 * (n * oh * ow) as f64 * spec.out_channels as f64 * ckk as f64;
+    r.throughput(g, &format!("conv1_t{threads}"), flops, || {
         black_box(conv2d_forward_fused(&input, &weight, &bias, &spec)).recycle();
         let (gw, gb) = conv2d_backward_params_fused(&grad, &input, &spec);
         black_box(gw).recycle();
         black_box(gb).recycle();
-    });
-    // Forward and grad-weight GEMMs have the same multiply-add count.
-    let flops = 2.0 * 2.0 * (n * oh * ow) as f64 * spec.out_channels as f64 * ckk as f64;
-    flops / m.min.as_secs_f64() / 1e9
+    })
 }
 
-/// Times `ROUNDS` federated rounds (LeNet-5, 4 parallel clients) and
-/// returns the mean per-round wall time in milliseconds.
-fn bench_round() -> f64 {
+/// Times `ROUNDS` federated rounds (LeNet-5, 4 parallel clients), each
+/// between two reference samples, and returns the mean per-round wall time
+/// in milliseconds and, per round, its time in reference calls (against
+/// the mean of its two neighbouring samples).
+fn bench_round(r: &Reference) -> (f64, Vec<f64>) {
     let clients = 4;
     let (builder, train, test) =
         standard_builder(ModelKind::Lenet5, Scale::Quick, clients, ROUNDS, 7);
@@ -265,14 +357,29 @@ fn bench_round() -> f64 {
         .strategy(Box::new(FullSync::new()))
         .parallel(true)
         .build();
-    let t0 = Instant::now();
-    let log = runner.run();
-    let ms = t0.elapsed().as_secs_f64() * 1e3 / log.records.len().max(1) as f64;
+    let mut reference = || r.run();
+    let ref_iters = calibrate(&mut reference);
+    let mut before = sample(&mut reference, ref_iters).as_secs_f64();
+    let mut total = 0.0;
+    let mut rels = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        let t0 = Instant::now();
+        runner.run_round(round as u64);
+        let secs = t0.elapsed().as_secs_f64();
+        let after = sample(&mut reference, ref_iters).as_secs_f64();
+        total += secs;
+        rels.push(secs / (0.5 * (before + after)).max(1e-12));
+        before = after;
+    }
+    let ms = total * 1e3 / ROUNDS as f64;
+    let rel = Ratio::of(rels.clone());
     println!(
-        "  round_t{}               mean   {ms:>9.2} ms",
-        apf_par::threads()
+        "  round_t{}               mean   {ms:>9.2} ms  vs ref {:.2} ±{:.0}%",
+        apf_par::threads(),
+        rel.median,
+        rel.spread * 50.0
     );
-    ms
+    (ms, rels)
 }
 
 /// A mask freezing `pct`% of [`MASKED_N`] scalars as evenly spread
@@ -294,7 +401,7 @@ fn clustered_mask(pct: usize) -> FreezeMask {
 
 /// Times one skip-frozen SGD step, one Adam step, and one 4-client sparse
 /// aggregation over a [`MASKED_N`]-scalar vector with `pct`% frozen.
-fn bench_masked(g: &mut BenchGroup, pct: usize) -> MaskedResult {
+fn bench_masked(g: &mut BenchGroup, r: &Reference, pct: usize) -> MaskedResult {
     let mask = clustered_mask(pct);
     let mut rng = seeded_rng(11);
     let params0 = normal_init(&[MASKED_N], 0.0, 1.0, &mut rng);
@@ -302,23 +409,17 @@ fn bench_masked(g: &mut BenchGroup, pct: usize) -> MaskedResult {
     let mut params = params0.data().to_vec();
 
     let mut sgd = Sgd::new(0.01).with_momentum(0.9);
-    let sgd_step_ms = {
-        let m = g.bench(&format!("sgd_step_f{pct}"), || {
-            sgd.step(&mut params, &grads, &mask);
-            black_box(&params);
-        });
-        m.min.as_secs_f64() * 1e3
-    };
+    let (sgd_step_ms, sgd_rel) = r.time(g, &format!("sgd_step_f{pct}"), || {
+        sgd.step(&mut params, &grads, &mask);
+        black_box(&params);
+    });
 
     params.copy_from_slice(params0.data());
     let mut adam = Adam::new(0.001);
-    let adam_step_ms = {
-        let m = g.bench(&format!("adam_step_f{pct}"), || {
-            adam.step(&mut params, &grads, &mask);
-            black_box(&params);
-        });
-        m.min.as_secs_f64() * 1e3
-    };
+    let (adam_step_ms, adam_rel) = r.time(g, &format!("adam_step_f{pct}"), || {
+        adam.step(&mut params, &grads, &mask);
+        black_box(&params);
+    });
 
     // Sparse aggregation straight into the unfrozen slots: clear + axpy per
     // client + divide, all run-driven, never touching frozen scalars.
@@ -326,23 +427,21 @@ fn bench_masked(g: &mut BenchGroup, pct: usize) -> MaskedResult {
         .map(|_| normal_init(&[MASKED_N], 0.0, 1.0, &mut rng).data().to_vec())
         .collect();
     let mut agg = vec![0.0f32; MASKED_N];
-    let agg_ms = {
-        let m = g.bench(&format!("sparse_agg_f{pct}"), || {
-            mask.for_each_unfrozen_run_in(0, MASKED_N, |s, e| agg[s..e].fill(0.0));
-            for l in &clients {
-                apf_tensor::masked_axpy(&mut agg, l, 1.0, mask.words());
-            }
-            apf_tensor::masked_div(&mut agg, clients.len() as f32, mask.words());
-            black_box(&agg);
-        });
-        m.min.as_secs_f64() * 1e3
-    };
+    let (agg_ms, agg_rel) = r.time(g, &format!("sparse_agg_f{pct}"), || {
+        mask.for_each_unfrozen_run_in(0, MASKED_N, |s, e| agg[s..e].fill(0.0));
+        for l in &clients {
+            apf_tensor::masked_axpy(&mut agg, l, 1.0, mask.words());
+        }
+        apf_tensor::masked_div(&mut agg, clients.len() as f32, mask.words());
+        black_box(&agg);
+    });
 
     MaskedResult {
         frozen_pct: pct,
         sgd_step_ms,
         adam_step_ms,
         agg_ms,
+        rel: [sgd_rel, adam_rel, agg_rel],
     }
 }
 
@@ -450,7 +549,7 @@ fn json_escape_free(
         "  \"scratch_misses_steady\": {scratch_misses_steady},\n"
     ));
     out.push_str(
-        "  \"note\": \"noise-floor (fastest-sample) GFLOP/s and mean round wall time per APF_PAR_THREADS; rows with threads > host_parallelism carry reliable=false and are skipped by regression checks\",\n",
+        "  \"note\": \"noise-floor (fastest-sample) GFLOP/s and mean round wall time per APF_PAR_THREADS; *_rel fields are the same figures relative to an interleaved same-run reference (64^3 matmuls per pool thread: kernel GFLOP/s over reference GFLOP/s, times in reference calls; medians over sample pairs, *_rel_spread their interquartile range over the median) and are what regression checks gate on; rows with threads > host_parallelism carry reliable=false and are skipped by regression checks\",\n",
     );
     out.push_str(
         "  \"caveat\": \"on a 1-core host only the threads=1 row is reliable: the t2/t4 rows time thread churn, not speedup, and every consumer (regression checks, the ledger record, reports) must hard-skip reliable=false rows\",\n",
@@ -458,13 +557,22 @@ fn json_escape_free(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_gflops\": {:.4}, \"round_ms\": {:.3}}}{}\n",
+            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_gflops\": {:.4}, \"round_ms\": {:.3}, {}}}{}\n",
             r.threads,
             r.reliable,
             r.matmul_gflops,
             r.conv2d_gflops,
             r.conv1_gflops,
             r.round_ms,
+            ["matmul", "conv2d", "conv1", "round"]
+                .iter()
+                .zip(&r.rel)
+                .map(|(name, x)| format!(
+                    "\"{name}_rel\": {:.4}, \"{name}_rel_spread\": {:.4}",
+                    x.median, x.spread
+                ))
+                .collect::<Vec<_>>()
+                .join(", "),
             if i + 1 < results.len() { "," } else { "" }
         ));
     }
@@ -472,11 +580,14 @@ fn json_escape_free(
     out.push_str(&format!("  \"masked_n\": {MASKED_N},\n  \"masked\": [\n"));
     for (i, r) in masked.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"frozen_pct\": {}, \"sgd_step_ms\": {:.4}, \"adam_step_ms\": {:.4}, \"agg_ms\": {:.4}}}{}\n",
+            "    {{\"frozen_pct\": {}, \"sgd_step_ms\": {:.4}, \"adam_step_ms\": {:.4}, \"agg_ms\": {:.4}, \"sgd_step_rel\": {:.4}, \"adam_step_rel\": {:.4}, \"agg_rel\": {:.4}}}{}\n",
             r.frozen_pct,
             r.sgd_step_ms,
             r.adam_step_ms,
             r.agg_ms,
+            r.rel[0],
+            r.rel[1],
+            r.rel[2],
             if i + 1 < masked.len() { "," } else { "" }
         ));
     }
@@ -610,19 +721,40 @@ fn main() {
     let t0 = Instant::now();
     let mut results = Vec::new();
     let mut g = BenchGroup::new("kernels_by_threads");
-    for threads in [1usize, 2, 4] {
-        apf_par::set_threads(threads);
-        let matmul_gflops = bench_matmul(&mut g, threads);
-        let conv2d_gflops = bench_conv2d(&mut g, threads);
-        let conv1_gflops = bench_conv1(&mut g, threads);
-        let round_ms = bench_round();
+    let reference = Reference::new();
+    // Per thread count: the best GFLOP/s of each kernel (matmul, conv2d,
+    // conv1) over all passes, the mean round time, and every pass's
+    // relative samples of the four.
+    let mut gflops = [[0.0f64; 3]; THREADS.len()];
+    let mut round_ms = [0.0f64; THREADS.len()];
+    let mut rels: [[Vec<f64>; 4]; THREADS.len()] = Default::default();
+    for _ in 0..PASSES {
+        for (ti, &threads) in THREADS.iter().enumerate() {
+            apf_par::set_threads(threads);
+            let kernels = [
+                bench_matmul(&mut g, &reference, threads),
+                bench_conv2d(&mut g, &reference, threads),
+                bench_conv1(&mut g, &reference, threads),
+            ];
+            for (ki, (abs, rel)) in kernels.into_iter().enumerate() {
+                gflops[ti][ki] = gflops[ti][ki].max(abs);
+                rels[ti][ki].extend(rel);
+            }
+            let (ms, rel) = bench_round(&reference);
+            round_ms[ti] += ms / PASSES as f64;
+            rels[ti][3].extend(rel);
+        }
+    }
+    for (ti, &threads) in THREADS.iter().enumerate() {
+        let [matmul_gflops, conv2d_gflops, conv1_gflops] = gflops[ti];
         results.push(ThreadResult {
             threads,
             reliable: threads <= host_parallelism,
             matmul_gflops,
             conv2d_gflops,
             conv1_gflops,
-            round_ms,
+            round_ms: round_ms[ti],
+            rel: std::mem::take(&mut rels[ti]).map(Ratio::of),
         });
     }
     apf_par::set_threads(1);
@@ -631,7 +763,7 @@ fn main() {
     let mut mg = BenchGroup::new("masked_by_frozen_ratio");
     let masked: Vec<MaskedResult> = FROZEN_PCTS
         .iter()
-        .map(|&pct| bench_masked(&mut mg, pct))
+        .map(|&pct| bench_masked(&mut mg, &reference, pct))
         .collect();
     let quick = std::env::var("APF_BENCH_QUICK").is_ok();
     let steady_rounds = if quick { 1 } else { 2 };

@@ -211,6 +211,14 @@ pub struct BenchRow {
     pub conv1_gflops: f64,
     /// Mean federated round wall time, ms (lower is better).
     pub round_ms: f64,
+    /// `matmul`, `conv2d` and `conv1` GFLOP/s over the same-run
+    /// reference's GFLOP/s, and the round time in reference calls (same
+    /// directions as the absolute figures). 0 in baselines that predate
+    /// them, which falls back to gating the absolute figures.
+    pub rel: [f64; 4],
+    /// Each `rel` figure's own noise in its run: interquartile range over
+    /// median across its sample pairs (0 when absent).
+    pub rel_spread: [f64; 4],
 }
 
 /// One freeze-ratio row of the masked-compute sweep (all lower-is-better
@@ -225,6 +233,8 @@ pub struct MaskedRow {
     pub adam_step_ms: f64,
     /// Run-driven 4-client sparse aggregation time, ms.
     pub agg_ms: f64,
+    /// The three times in same-run reference calls (0 when absent).
+    pub rel: [f64; 3],
 }
 
 /// One registered-population row of the population-runner sweep.
@@ -285,6 +295,9 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
                 conv2d_gflops: num("conv2d_gflops"),
                 conv1_gflops: num("conv1_gflops"),
                 round_ms: num("round_ms"),
+                rel: ["matmul", "conv2d", "conv1", "round"].map(|k| num(&format!("{k}_rel"))),
+                rel_spread: ["matmul", "conv2d", "conv1", "round"]
+                    .map(|k| num(&format!("{k}_rel_spread"))),
             }
         })
         .collect();
@@ -300,6 +313,7 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
                 sgd_step_ms: num("sgd_step_ms"),
                 adam_step_ms: num("adam_step_ms"),
                 agg_ms: num("agg_ms"),
+                rel: [num("sgd_step_rel"), num("adam_step_rel"), num("agg_rel")],
             }
         })
         .collect();
@@ -335,9 +349,12 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
 /// Compares candidate kernel-bench output against the committed baseline.
 ///
 /// Throughputs may drop and round time may grow by at most
-/// `tol.time_increase` (relative). All findings are warnings when the two
-/// documents disagree on `host_parallelism` — absolute kernel numbers are
-/// not comparable across machines.
+/// `tol.time_increase` (relative). Where both documents carry a figure's
+/// reference-relative twin (`*_rel`), the twin is gated and the absolute
+/// figure only warns, so drift in the host's speed between the two runs
+/// cannot fail the check. All findings are warnings when the two documents
+/// disagree on `host_parallelism` — kernel numbers are not comparable
+/// across machines.
 ///
 /// # Errors
 /// Propagates parse failures of either document.
@@ -382,45 +399,58 @@ pub fn check_bench_json(
             continue;
         }
         let t = base_row.threads;
-        // Higher-is-better throughputs: candidate must reach
-        // baseline / (1 + tol).
-        for (name, base, cand) in [
-            (
-                "matmul_gflops",
-                base_row.matmul_gflops,
-                cand_row.matmul_gflops,
-            ),
-            (
-                "conv2d_gflops",
-                base_row.conv2d_gflops,
-                cand_row.conv2d_gflops,
-            ),
-            ("conv1_gflops", base_row.conv1_gflops, cand_row.conv1_gflops),
-        ] {
-            if base > 0.0 && cand < base / (1.0 + tol.time_increase) {
-                findings.push(Finding {
-                    field: format!("{name}_t{t}"),
-                    baseline: base,
-                    candidate: cand,
-                    limit: format!(
-                        "-{:.0}%",
-                        tol.time_increase / (1.0 + tol.time_increase) * 100.0
-                    ),
+        // Each figure is gated on its reference-relative twin when both
+        // documents carry one: the host's speed drifts between runs, and
+        // the ratio to a reference interleaved with the samples cancels
+        // that drift. The absolute figure then only warns. A twin may
+        // move by the tolerance, or by the noise the two runs measured in
+        // it when that is larger (see `rel_allowance`).
+        for (i, (name, base, cand)) in [
+            ("matmul", base_row.matmul_gflops, cand_row.matmul_gflops),
+            ("conv2d", base_row.conv2d_gflops, cand_row.conv2d_gflops),
+            ("conv1", base_row.conv1_gflops, cand_row.conv1_gflops),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (base_rel, cand_rel) = (base_row.rel[i], cand_row.rel[i]);
+            let rel_gated = base_rel > 0.0 && cand_rel > 0.0;
+            let abs_severity = if rel_gated { Severity::Warn } else { severity };
+            let allowance = rel_allowance(tol, base_row, cand_row, i);
+            findings.extend(throughput_drop(
+                format!("{name}_gflops_t{t}"),
+                base,
+                cand,
+                tol.time_increase,
+                abs_severity,
+            ));
+            if rel_gated {
+                findings.extend(throughput_drop(
+                    format!("{name}_rel_t{t}"),
+                    base_rel,
+                    cand_rel,
+                    allowance,
                     severity,
-                });
+                ));
             }
         }
-        // Lower-is-better round time.
-        if base_row.round_ms > 0.0
-            && cand_row.round_ms > base_row.round_ms * (1.0 + tol.time_increase)
-        {
-            findings.push(Finding {
-                field: format!("round_ms_t{t}"),
-                baseline: base_row.round_ms,
-                candidate: cand_row.round_ms,
-                limit: format!("+{:.0}%", tol.time_increase * 100.0),
+        let (base_rel, cand_rel) = (base_row.rel[3], cand_row.rel[3]);
+        let rel_gated = base_rel > 0.0 && cand_rel > 0.0;
+        findings.extend(time_growth(
+            format!("round_ms_t{t}"),
+            base_row.round_ms,
+            cand_row.round_ms,
+            tol.time_increase,
+            if rel_gated { Severity::Warn } else { severity },
+        ));
+        if rel_gated {
+            findings.extend(time_growth(
+                format!("round_rel_t{t}"),
+                base_rel,
+                cand_rel,
+                rel_allowance(tol, base_row, cand_row, 3),
                 severity,
-            });
+            ));
         }
     }
     for base_row in &baseline.masked {
@@ -441,30 +471,35 @@ pub fn check_bench_json(
         // while throughput in the same run is *up*. The failure mode this
         // gate exists for is losing the word-skip entirely, a 10–50× jump
         // at high frozen ratios — so only a doubling is a hard failure;
-        // drifts beyond the normal tolerance surface as warnings.
+        // drifts beyond the normal tolerance surface as warnings. As with
+        // the kernel rows, the reference-relative twin is the gated figure
+        // when both documents carry it.
         const MASKED_FAIL_INCREASE: f64 = 1.0;
-        for (name, base, cand) in [
-            ("sgd_step_ms", base_row.sgd_step_ms, cand_row.sgd_step_ms),
-            ("adam_step_ms", base_row.adam_step_ms, cand_row.adam_step_ms),
-            ("agg_ms", base_row.agg_ms, cand_row.agg_ms),
-        ] {
-            if base > 0.0 && cand > base * (1.0 + MASKED_FAIL_INCREASE) {
-                findings.push(Finding {
-                    field: format!("{name}_f{f}"),
-                    baseline: base,
-                    candidate: cand,
-                    limit: format!("+{:.0}%", MASKED_FAIL_INCREASE * 100.0),
-                    severity,
-                });
-            } else if base > 0.0 && cand > base * (1.0 + tol.time_increase) {
-                findings.push(Finding {
-                    field: format!("{name}_f{f}"),
-                    baseline: base,
-                    candidate: cand,
-                    limit: format!("+{:.0}%", tol.time_increase * 100.0),
-                    severity: Severity::Warn,
-                });
-            }
+        for (i, (name, base, cand)) in [
+            ("sgd_step", base_row.sgd_step_ms, cand_row.sgd_step_ms),
+            ("adam_step", base_row.adam_step_ms, cand_row.adam_step_ms),
+            ("agg", base_row.agg_ms, cand_row.agg_ms),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (base_rel, cand_rel) = (base_row.rel[i], cand_row.rel[i]);
+            let (field, base, cand) = if base_rel > 0.0 && cand_rel > 0.0 {
+                findings.extend(time_growth(
+                    format!("{name}_ms_f{f}"),
+                    base,
+                    cand,
+                    tol.time_increase,
+                    Severity::Warn,
+                ));
+                (format!("{name}_rel_f{f}"), base_rel, cand_rel)
+            } else {
+                (format!("{name}_ms_f{f}"), base, cand)
+            };
+            findings.extend(
+                time_growth(field.clone(), base, cand, MASKED_FAIL_INCREASE, severity)
+                    .or_else(|| time_growth(field, base, cand, tol.time_increase, Severity::Warn)),
+            );
         }
     }
     for base_row in &baseline.population {
@@ -506,21 +541,62 @@ pub fn check_bench_json(
                 severity: Severity::Fail,
             });
         }
-        if base_row.reliable
-            && cand_row.reliable
-            && base_row.round_ms > 0.0
-            && cand_row.round_ms > base_row.round_ms * (1.0 + tol.time_increase)
-        {
-            findings.push(Finding {
-                field: format!("pop_round_ms_r{}", base_row.registered),
-                baseline: base_row.round_ms,
-                candidate: cand_row.round_ms,
-                limit: format!("+{:.0}%", tol.time_increase * 100.0),
+        if base_row.reliable && cand_row.reliable {
+            findings.extend(time_growth(
+                format!("pop_round_ms_r{}", base_row.registered),
+                base_row.round_ms,
+                cand_row.round_ms,
+                tol.time_increase,
                 severity,
-            });
+            ));
         }
     }
     Ok(findings)
+}
+
+/// The relative change `rel[i]` may show between two kernel-bench rows:
+/// the wall-time tolerance, or the noise the two runs measured in that
+/// figure (half of each one's interquartile spread) when that is larger. A
+/// difference inside the runs' own noise is no evidence of a regression.
+fn rel_allowance(tol: &Tolerances, base: &BenchRow, cand: &BenchRow, i: usize) -> f64 {
+    tol.time_increase
+        .max(0.5 * (base.rel_spread[i] + cand.rel_spread[i]))
+}
+
+/// A finding when the higher-is-better `cand` fell below
+/// `base / (1 + increase)` (nothing when `base` is unset).
+fn throughput_drop(
+    field: String,
+    base: f64,
+    cand: f64,
+    increase: f64,
+    severity: Severity,
+) -> Option<Finding> {
+    (base > 0.0 && cand < base / (1.0 + increase)).then(|| Finding {
+        field,
+        baseline: base,
+        candidate: cand,
+        limit: format!("-{:.0}%", increase / (1.0 + increase) * 100.0),
+        severity,
+    })
+}
+
+/// A finding when the lower-is-better `cand` grew past
+/// `base * (1 + increase)` (nothing when `base` is unset).
+fn time_growth(
+    field: String,
+    base: f64,
+    cand: f64,
+    increase: f64,
+    severity: Severity,
+) -> Option<Finding> {
+    (base > 0.0 && cand > base * (1.0 + increase)).then(|| Finding {
+        field,
+        baseline: base,
+        candidate: cand,
+        limit: format!("+{:.0}%", increase * 100.0),
+        severity,
+    })
 }
 
 #[cfg(test)]
@@ -643,6 +719,70 @@ mod tests {
         // A baseline that predates the row cannot regress on it.
         let f = check_bench_json(&row(""), &slow, &Tolerances::default()).unwrap();
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    fn rel_doc(gflops: f64, round_ms: f64, rel: f64, round_rel: f64) -> String {
+        format!(
+            "{{\"host_parallelism\": 2, \"results\": [\
+             {{\"threads\": 1, \"matmul_gflops\": {gflops}, \"conv2d_gflops\": {gflops}, \
+               \"conv1_gflops\": {gflops}, \"round_ms\": {round_ms}, \"matmul_rel\": {rel}, \
+               \"conv2d_rel\": {rel}, \"conv1_rel\": {rel}, \"round_rel\": {round_rel}}}]}}"
+        )
+    }
+
+    #[test]
+    fn rel_twins_are_gated_and_absolute_figures_only_warn() {
+        let tol = Tolerances::default();
+        let base = rel_doc(10.0, 100.0, 2.0, 50.0);
+        // The whole host ran at half speed: absolute figures moved, the
+        // reference-relative ones did not. Warnings only.
+        let f = check_bench_json(&base, &rel_doc(5.0, 200.0, 2.0, 50.0), &tol).unwrap();
+        assert!(!f.is_empty());
+        assert!(!any_failure(&f), "{f:?}");
+        // A real regression moves the relative figures: hard failure on
+        // each twin, even when the absolute figures happen to hold.
+        let f = check_bench_json(&base, &rel_doc(10.0, 100.0, 1.0, 100.0), &tol).unwrap();
+        for field in [
+            "matmul_rel_t1",
+            "conv2d_rel_t1",
+            "conv1_rel_t1",
+            "round_rel_t1",
+        ] {
+            assert!(
+                f.iter()
+                    .any(|x| x.field == field && x.severity == Severity::Fail),
+                "{field}: {f:?}"
+            );
+        }
+        // A drop beyond the tolerance but inside the noise both runs
+        // measured in the figure (±25% each) is no evidence; the
+        // allowance is per figure, so the quiet twins still fail.
+        let noisy = |doc: String| {
+            doc.replace(
+                "\"matmul_rel\"",
+                "\"matmul_rel_spread\": 0.5, \"matmul_rel\"",
+            )
+        };
+        let f = check_bench_json(
+            &noisy(base.clone()),
+            &noisy(rel_doc(10.0, 100.0, 1.5, 50.0)),
+            &tol,
+        )
+        .unwrap();
+        assert!(!f.iter().any(|x| x.field == "matmul_rel_t1"), "{f:?}");
+        assert!(f.iter().any(|x| x.field == "conv1_rel_t1"), "{f:?}");
+        let f = check_bench_json(
+            &noisy(base.clone()),
+            &noisy(rel_doc(10.0, 100.0, 1.0, 50.0)),
+            &tol,
+        )
+        .unwrap();
+        assert!(f.iter().any(|x| x.field == "matmul_rel_t1"), "{f:?}");
+        // A candidate without the twins falls back to the absolute gate.
+        let f = check_bench_json(&base, &bench_doc(2, 5.0, 200.0), &tol).unwrap();
+        assert!(f
+            .iter()
+            .any(|x| x.field == "matmul_gflops_t1" && x.severity == Severity::Fail));
     }
 
     #[test]
@@ -795,5 +935,26 @@ mod tests {
         )
         .unwrap();
         assert!(any_failure(&f));
+    }
+
+    #[test]
+    fn masked_rel_twins_are_gated_and_absolute_times_only_warn() {
+        let doc = |sgd: f64, sgd_rel: f64| {
+            format!(
+                "{{\"host_parallelism\": 1, \"results\": [], \"masked\": [\
+                 {{\"frozen_pct\": 90, \"sgd_step_ms\": {sgd}, \"adam_step_ms\": 2.0, \
+                   \"agg_ms\": 0.5, \"sgd_step_rel\": {sgd_rel}, \"adam_step_rel\": 20.0, \
+                   \"agg_rel\": 5.0}}]}}"
+            )
+        };
+        let tol = Tolerances::default();
+        let base = doc(1.0, 10.0);
+        let f = check_bench_json(&base, &doc(2.5, 10.0), &tol).unwrap();
+        assert!(!any_failure(&f), "{f:?}");
+        assert!(f.iter().any(|x| x.field == "sgd_step_ms_f90"));
+        let f = check_bench_json(&base, &doc(1.0, 25.0), &tol).unwrap();
+        assert!(f
+            .iter()
+            .any(|x| x.field == "sgd_step_rel_f90" && x.severity == Severity::Fail));
     }
 }

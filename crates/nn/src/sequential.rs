@@ -71,14 +71,15 @@ impl Sequential {
 
     /// Runs all layers backward, accumulating parameter gradients.
     pub fn backward(&mut self, grad: Tensor) -> Tensor {
-        let mut cur = grad;
-        let last = self.layers.len().saturating_sub(1);
-        for (i, layer) in self.layers.iter_mut().rev().enumerate() {
-            let _s = span!(Level::Trace, target: "nn.layer", "backward",
-                layer = last - i, kind = layer.kind());
-            cur = layer.backward(cur);
+        let cur = self.backward_tail(grad);
+        match self.layers.first_mut() {
+            Some(first) => {
+                let _s = span!(Level::Trace, target: "nn.layer", "backward",
+                    layer = 0usize, kind = first.kind());
+                first.backward(cur)
+            }
+            None => cur,
         }
-        cur
     }
 
     /// Runs all layers backward like [`Sequential::backward`], but stops at
@@ -87,19 +88,27 @@ impl Sequential {
     /// the model input, so it is never computed. Parameter gradients are
     /// bitwise identical to `backward`'s.
     pub fn backward_params(&mut self, grad: Tensor) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            grad.recycle();
-            return;
-        };
+        let cur = self.backward_tail(grad);
+        match self.layers.first_mut() {
+            Some(first) => {
+                let _s = span!(Level::Trace, target: "nn.layer", "backward",
+                    layer = 0usize, kind = first.kind());
+                first.backward_params(cur);
+            }
+            None => cur.recycle(),
+        }
+    }
+
+    /// Runs every layer but the first backward, last to second, and
+    /// returns the gradient w.r.t. the first layer's output.
+    fn backward_tail(&mut self, grad: Tensor) -> Tensor {
         let mut cur = grad;
-        for (i, layer) in rest.iter_mut().enumerate().rev() {
+        for (i, layer) in self.layers.iter_mut().enumerate().skip(1).rev() {
             let _s = span!(Level::Trace, target: "nn.layer", "backward",
-                layer = i + 1, kind = layer.kind());
+                layer = i, kind = layer.kind());
             cur = layer.backward(cur);
         }
-        let _s = span!(Level::Trace, target: "nn.layer", "backward",
-            layer = 0usize, kind = first.kind());
-        first.backward_params(cur);
+        cur
     }
 
     /// Visits every parameter as `(name, trainable, value, grad)`.

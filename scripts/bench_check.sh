@@ -3,10 +3,15 @@
 #
 # Re-runs `bench-kernels` (quick mode) into a temporary file and compares
 # it with BENCH_kernels.json at the repo root via `ledger-report
-# bench-diff`: throughput may drop and round time may grow by at most 20%.
-# When the current host's parallelism differs from the baseline's, findings
-# are warnings only (absolute kernel numbers are not comparable across
-# machines) and the script still exits 0.
+# bench-diff`. The gated figures are the `*_rel` ones: each kernel's
+# throughput and the round time relative to a reference workload timed
+# interleaved with it in the same run, which cancels drift in the host's
+# speed between the baseline run and this one. They may worsen by at most
+# 20%, or by the noise the two runs measured in them when that is larger;
+# absolute GFLOP/s and milliseconds only warn. When the current host's
+# parallelism differs from the baseline's, findings are warnings only
+# (kernel numbers are not comparable across machines) and the script
+# still exits 0.
 #
 # Usage: scripts/bench_check.sh [baseline.json]
 set -euo pipefail

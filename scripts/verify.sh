@@ -232,8 +232,9 @@ cargo run -q --release --offline -p apf-bench --bin population-smoke
 
 echo "== kernel bench regression vs committed baseline =="
 # Quick bench-kernels run diffed against BENCH_kernels.json: hard fail on
-# >20% regression when host parallelism matches the baseline's, warn-only
-# otherwise (absolute kernel numbers are not comparable across machines).
+# a >20% regression of a reference-relative figure (beyond the runs' own
+# noise) when host parallelism matches the baseline's, warn-only otherwise
+# (kernel numbers are not comparable across machines).
 scripts/bench_check.sh
 
 echo "== dependency hermeticity =="
