@@ -35,9 +35,9 @@
 //! take). Step time must fall monotonically as the frozen ratio rises —
 //! that is the whole point of the masked fast paths.
 //!
-//! A population sweep rides along: the event-driven [`PopulationRunner`]
-//! at 100k and 1M registered clients with a 10k-client cohort per round
-//! (tiny MLP on slab-backed synthetic shards). Each row records the
+//! A population sweep rides along: the sampled-participation
+//! [`PopulationRunner`] at 100k and 1M registered clients with a
+//! 10k-client cohort per round (tiny MLP on shell-owned synthetic shards). Each row records the
 //! fastest steady-round wall time, the deterministic `steady_resident_bytes`
 //! accounting (which must be independent of the registered population —
 //! dormant clients that never participated cost zero bytes), and the slab

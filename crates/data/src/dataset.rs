@@ -64,11 +64,25 @@ impl Dataset {
         self.inputs.shape()[1..].iter().product()
     }
 
-    /// Decomposes the dataset into its input tensor and label vector, so the
-    /// backing buffers can be recycled (e.g. into the slab store) when a
-    /// materialized client is suspended.
-    pub fn into_parts(self) -> (Tensor, Vec<usize>) {
-        (self.inputs, self.labels)
+    /// Refills the dataset in place, reusing its input and label buffers:
+    /// `fill` receives both, clears them and writes whole samples of the
+    /// current per-sample shape with one label each. The population
+    /// simulator regenerates a re-bound replica's shard this way.
+    ///
+    /// # Panics
+    /// Panics if `fill` leaves a partial sample or a label out of range.
+    pub fn refill(&mut self, fill: impl FnOnce(&mut Vec<f32>, &mut Vec<usize>)) {
+        let mut shape = self.inputs.shape().to_vec();
+        let empty = Tensor::from_vec(Vec::new(), &[0]);
+        let mut data = std::mem::replace(&mut self.inputs, empty).into_vec();
+        fill(&mut data, &mut self.labels);
+        shape[0] = self.labels.len();
+        self.inputs = Tensor::from_vec(data, &shape);
+        assert!(
+            self.labels.iter().all(|&l| l < self.num_classes),
+            "label out of range for {} classes",
+            self.num_classes
+        );
     }
 
     /// Builds a new dataset from the given sample indices (with copying).
@@ -167,6 +181,33 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.labels(), &[2, 0]);
         assert_eq!(s.inputs().data(), &[10.0, 11.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn refill_reuses_buffers_and_keeps_sample_shape() {
+        let mut d = toy();
+        let ptr = d.inputs().data().as_ptr();
+        d.refill(|x, y| {
+            x.clear();
+            y.clear();
+            x.extend_from_slice(&[7.0, 8.0, 9.0, 10.0]);
+            y.extend_from_slice(&[2, 1]);
+        });
+        assert_eq!(d.inputs().shape(), &[2, 2]);
+        assert_eq!(d.inputs().data(), &[7.0, 8.0, 9.0, 10.0]);
+        assert_eq!(d.labels(), &[2, 1]);
+        assert_eq!(d.inputs().data().as_ptr(), ptr, "input buffer reused");
+    }
+
+    #[test]
+    #[should_panic(expected = "label out of range")]
+    fn refill_rejects_out_of_range_labels() {
+        toy().refill(|x, y| {
+            x.clear();
+            y.clear();
+            x.extend_from_slice(&[0.0, 0.0]);
+            y.push(3);
+        });
     }
 
     #[test]

@@ -76,15 +76,15 @@ impl Client {
         &self.data
     }
 
-    /// Swaps in a new data shard, returning the old one (so its backing
-    /// buffers can be recycled). Used by the population runner when a
+    /// Regenerates the data shard in place through [`Dataset::refill`],
+    /// reusing its buffers. Used by the population runner when a
     /// materialized shell is re-bound to a different registered client.
     ///
     /// # Panics
-    /// Panics if `data` is empty.
-    pub fn replace_data(&mut self, data: Dataset) -> Dataset {
-        assert!(!data.is_empty(), "client has no data");
-        std::mem::replace(&mut self.data, data)
+    /// Panics if `fill` leaves the shard empty.
+    pub(crate) fn refill_data(&mut self, fill: impl FnOnce(&mut Vec<f32>, &mut Vec<usize>)) {
+        self.data.refill(fill);
+        assert!(!self.data.is_empty(), "client has no data");
     }
 
     /// The batch-shuffle RNG state (part of a client's dormant snapshot).

@@ -1,4 +1,4 @@
-//! Million-client event-driven population simulator.
+//! Million-client sampled-participation population simulator.
 //!
 //! [`FlRunner`] materializes every client up front — fine for the paper's
 //! 10-client testbed, hopeless for a realistic federated population where
@@ -20,14 +20,27 @@
 //!   path is load-bearing, not dead code.
 //! * Full replicas ("shells": model + optimizer + data shard) exist only
 //!   for the cohort block currently training, and are **recycled** across
-//!   blocks and rounds; their backing buffers cycle through the
-//!   `apf_tensor::slab` size-class store, so steady-state allocation is
+//!   blocks and rounds: a re-bound shell regenerates its client's shard
+//!   into the buffers it already owns, so steady-state shard allocation is
 //!   zero regardless of cohort composition.
 //!
-//! The round is driven as a deterministic event queue — `Sample` →
-//! `Train{block}`... → `Finalize` — so cohort blocks are scheduled
-//! explicitly and resident memory is bounded by the shell pool, never by
-//! the registered population.
+//! A round draws its cohort, then streams it through the shell pool one
+//! block at a time, each block in three phases:
+//!
+//! 1. **prepare** (pooled): regenerate each shell's shard, unpack its
+//!    client's dormant blob, load the global model, and restore the RNG,
+//!    step counter and optimizer state;
+//! 2. **train** (pooled): one local round per shell — the only phase the
+//!    record's `compute_secs` times;
+//! 3. **reduce**: pack each client's dormant blob on the pool, then, on one
+//!    thread in ascending client id, add each shell's unfrozen parameters
+//!    into the aggregate straight from its tensors and file the blob.
+//!
+//! Every pooled task touches only its own shell, and the one step that
+//! combines clients — the f32 accumulation — runs serially in the order
+//! [`FlRunner`]'s per-client loop uses, so no phase's result depends on
+//! the thread count. Resident memory is bounded by the shell pool, never
+//! by the registered population.
 //!
 //! **Parity contract:** with full participation (`cohort = 0`), dense
 //! dormant encoding, and shared-partition data, a [`PopulationRunner`] is
@@ -39,7 +52,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use apf::{Aimd, ApfConfig, ApfManager, DormantApfState};
+use apf::{Aimd, ApfConfig, ApfManager, DormantApfState, FreezeMask};
 use apf_data::{Dataset, SynthImageGen};
 use apf_nn::{LrSchedule, Sequential, Trainer};
 use apf_quant::{f16_roundtrip_in_place, EmaCodec};
@@ -157,9 +170,9 @@ pub enum PopulationData {
         /// Per-client sample indices (one entry per registered client).
         parts: Vec<Vec<usize>>,
     },
-    /// Each client owns a private synthetic shard, generated on
-    /// materialization into slab-recycled buffers (split `2 + id`, so no
-    /// client shares samples with the conventional train/test splits 0/1).
+    /// Each client owns a private synthetic shard, regenerated whenever a
+    /// shell is bound to it (split `2 + id`, so no client shares samples
+    /// with the conventional train/test splits 0/1).
     Synth {
         /// Shared prototype generator.
         gen: SynthImageGen,
@@ -179,6 +192,43 @@ impl std::fmt::Debug for PopulationData {
                 .debug_struct("Synth")
                 .field("per_client", per_client)
                 .finish(),
+        }
+    }
+}
+
+impl PopulationData {
+    /// Writes client `id`'s shard into `inputs` / `labels`, clearing both
+    /// first (the [`SynthImageGen::fill_split`] contract).
+    fn fill_shard(&self, id: u64, inputs: &mut Vec<f32>, labels: &mut Vec<usize>) {
+        match self {
+            PopulationData::Shared { train, parts } => {
+                let row = train.sample_numel();
+                inputs.clear();
+                labels.clear();
+                for &i in &parts[id as usize] {
+                    inputs.extend_from_slice(&train.inputs().data()[i * row..(i + 1) * row]);
+                    labels.push(train.labels()[i]);
+                }
+            }
+            PopulationData::Synth { gen, per_client } => {
+                gen.fill_split(*per_client, 2 + id, inputs, labels);
+            }
+        }
+    }
+
+    /// Client `id`'s shard as a new dataset, for a shell's first binding.
+    fn shard(&self, id: u64) -> Dataset {
+        match self {
+            PopulationData::Shared { train, parts } => train.select(&parts[id as usize]),
+            PopulationData::Synth { gen, per_client } => {
+                let (mut inputs, mut labels) = (Vec::new(), Vec::new());
+                self.fill_shard(id, &mut inputs, &mut labels);
+                Dataset::new(
+                    Tensor::from_vec(inputs, &[*per_client, gen.sample_numel()]),
+                    labels,
+                    apf_data::NUM_CLASSES,
+                )
+            }
         }
     }
 }
@@ -207,29 +257,62 @@ pub struct PopulationConfig {
 }
 
 /// One materialized replica, re-bound to a different registered client as
-/// cohort blocks stream through.
+/// cohort blocks stream through. It also carries the bound client's
+/// outputs from the pooled phases to the serial reduce.
 struct Shell {
     client: Client,
+    /// The bound client, whose shard the replica holds.
     bound: u64,
+    /// Whether the bound client had no dormant state (first participation).
+    fresh: bool,
+    /// Mean batch loss of the bound client's local round.
+    loss: f32,
+    /// The bound client's packed dormant state, awaiting the registry.
+    blob: Option<Box<[u8]>>,
 }
 
-/// The deterministic per-round event schedule.
-enum RoundEvent {
-    /// Draw the cohort and schedule its blocks.
-    Sample,
-    /// Materialize, train, aggregate, and suspend cohort block
-    /// `[lo, lo + shells)`.
-    Train {
-        /// Cohort-list offset of the block.
-        lo: usize,
-    },
-    /// Close the round: finish aggregation, sync, evaluate, record.
-    Finalize,
+/// Runs `f(slot, shell)` for every shell, across the `apf-par` pool when
+/// `parallel` is set. Each call touches only its own shell, so the outcome
+/// is bitwise identical either way.
+fn for_each_shell(parallel: bool, shells: &mut [Shell], f: impl Fn(usize, &mut Shell) + Sync) {
+    if parallel && shells.len() > 1 {
+        apf_par::scope(|s| {
+            let f = &f;
+            for (slot, shell) in shells.iter_mut().enumerate() {
+                s.spawn(move || f(slot, shell));
+            }
+        });
+    } else {
+        for (slot, shell) in shells.iter_mut().enumerate() {
+            f(slot, shell);
+        }
+    }
 }
 
-/// Event-driven sampled-participation simulator over a registered
-/// population (see the module docs for the architecture and the parity
-/// contract).
+/// Calls `f(values, start, end)` for every unfrozen run of `mask`, cut at
+/// parameter-tensor edges: `values` is the run's slice of the client's
+/// live parameter tensor, `start..end` its span in the flat vector.
+fn for_each_unfrozen_param_run(
+    client: &mut Client,
+    mask: &FreezeMask,
+    mut f: impl FnMut(&mut [f32], usize, usize),
+) {
+    let mut offset = 0;
+    client
+        .trainer_mut()
+        .model_mut()
+        .visit_params(&mut |_, _, v, _| {
+            let len = v.numel();
+            let values = v.data_mut();
+            mask.for_each_unfrozen_run_in(offset, offset + len, |s, e| {
+                f(&mut values[s - offset..e - offset], s, e);
+            });
+            offset += len;
+        });
+}
+
+/// Sampled-participation simulator over a registered population (see the
+/// module docs for the architecture and the parity contract).
 pub struct PopulationRunner {
     cfg: PopulationConfig,
     data: PopulationData,
@@ -406,44 +489,13 @@ impl PopulationRunner {
         out
     }
 
-    /// Builds client `id`'s data shard (slab-backed in synthetic mode).
-    fn make_shard(&self, id: u64) -> Dataset {
-        match &self.data {
-            PopulationData::Shared { train, parts } => train.select(&parts[id as usize]),
-            PopulationData::Synth { gen, per_client } => {
-                let row = gen.sample_numel();
-                let mut buf = slab::take(per_client * row);
-                let mut labels = Vec::with_capacity(*per_client);
-                gen.fill_split(*per_client, 2 + id, &mut buf, &mut labels);
-                Dataset::new(
-                    Tensor::from_vec(buf, &[*per_client, row]),
-                    labels,
-                    apf_data::NUM_CLASSES,
-                )
-            }
-        }
-    }
-
-    /// Returns a retired shard's backing buffer to the slab store.
-    fn recycle_shard(ds: Dataset) {
-        let (inputs, _labels) = ds.into_parts();
-        slab::give(inputs.into_vec());
-    }
-
-    /// Materializes client `id` into shell `slot` — building the shell on
-    /// first use, re-binding (and recycling) it otherwise — and restores
-    /// the client's dormant state. Returns whether this is the client's
-    /// first-ever participation.
-    fn materialize(&mut self, slot: usize, id: u64, _round: u64) -> bool {
-        let shard = self.make_shard(id);
-        let dormant = self.registry.get(id).map(unpack_dormant);
-        let first_time = dormant.is_none();
-        let (rng, steps, opt) = dormant.unwrap_or_else(|| {
-            let fresh = seeded_rng(derive_seed(derive_seed(self.cfg.fl.seed, id), 0xC11E));
-            (fresh.state(), 0, Vec::new())
-        });
-        if self.shells.len() <= slot {
-            debug_assert_eq!(self.shells.len(), slot);
+    /// Phase 1: binds shells `0..ids.len()` to the block's clients and
+    /// restores each one — shard, global model, RNG, step counter,
+    /// optimizer state. Shells the pool lacks are built first, serially
+    /// (`model_factory` need not be `Sync`; only round 0 builds any).
+    fn prepare_block(&mut self, ids: &[u64]) {
+        while self.shells.len() < ids.len() {
+            let id = ids[self.shells.len()];
             let trainer = Trainer::new(
                 (self.model_factory)(self.model_seed),
                 self.cfg.optimizer.build(),
@@ -451,130 +503,136 @@ impl PopulationRunner {
             );
             let client = Client::new(
                 trainer,
-                shard,
+                self.data.shard(id),
                 self.cfg.fl.batch_size,
                 derive_seed(self.cfg.fl.seed, id),
             );
-            self.shells.push(Shell { client, bound: id });
-        } else {
-            let shell = &mut self.shells[slot];
-            let old = shell.client.replace_data(shard);
-            PopulationRunner::recycle_shard(old);
-            shell.bound = id;
+            self.shells.push(Shell {
+                client,
+                bound: id,
+                fresh: false,
+                loss: 0.0,
+                blob: None,
+            });
         }
-        let client = &mut self.shells[slot].client;
-        client.load_flat(&self.global);
-        client.set_rng_state(rng);
-        client.trainer_mut().set_step_count(steps as usize);
-        client.trainer_mut().load_optimizer_state(&opt);
-        first_time
+        let (data, registry, global) = (&self.data, &self.registry, &self.global[..]);
+        let seed = self.cfg.fl.seed;
+        let shells = &mut self.shells[..ids.len()];
+        for_each_shell(self.cfg.fl.parallel, shells, |slot, shell| {
+            let id = ids[slot];
+            if shell.bound != id {
+                shell.client.refill_data(|x, y| data.fill_shard(id, x, y));
+                shell.bound = id;
+            }
+            let dormant = registry.get(id).map(unpack_dormant);
+            shell.fresh = dormant.is_none();
+            let (rng, steps, opt) = dormant.unwrap_or_else(|| {
+                let fresh = seeded_rng(derive_seed(derive_seed(seed, id), 0xC11E));
+                (fresh.state(), 0, Vec::new())
+            });
+            let client = &mut shell.client;
+            client.load_flat(global);
+            client.set_rng_state(rng);
+            client.trainer_mut().set_step_count(steps as usize);
+            client.trainer_mut().load_optimizer_state(&opt);
+        });
     }
 
-    /// Suspends shell `slot`'s client back into the registry.
-    fn suspend(&mut self, slot: usize) {
-        let shell = &self.shells[slot];
-        let blob = pack_dormant(
-            shell.client.rng_state(),
-            shell.client.trainer().step_count() as u64,
-            &shell.client.trainer().optimizer_state(),
-            self.cfg.codec,
-        );
-        self.registry.insert(shell.bound, blob);
-    }
-
-    /// Trains the first `count` shells (one local round each), writing mean
-    /// batch losses into `losses`. Parallel over the `apf-par` pool when
-    /// configured; bitwise identical either way.
-    fn train_block(&mut self, round: u64, count: usize, losses: &mut [f32]) {
+    /// Phase 2: one local round on each of the first `count` shells.
+    fn train_block(&mut self, round: u64, count: usize) {
         let local_iters = self.cfg.fl.local_iters;
-        let parallel = self.cfg.fl.parallel;
         let mgr = &self.mgr;
-        let shells = &mut self.shells[..count];
-        if parallel && count > 1 {
-            apf_par::scope(|s| {
-                for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
-                    s.spawn(move || {
-                        let hook = |p: &mut [f32]| mgr.rollback(p, round);
-                        *slot = shell.client.local_round(local_iters, &hook);
-                    });
+        for_each_shell(
+            self.cfg.fl.parallel,
+            &mut self.shells[..count],
+            |_, shell| {
+                let hook = |p: &mut [f32]| mgr.rollback(p, round);
+                shell.loss = shell.client.local_round(local_iters, &hook);
+            },
+        );
+    }
+
+    /// Phase 3 for the first `losses.len()` shells. On the pool: pack each
+    /// client's dormant blob and, with `wire_f16`, round its unfrozen
+    /// parameters through f16 in place (invisible: the next prepare
+    /// reloads the global model). Then serially, in ascending client id —
+    /// the f32 accumulation order of [`FlRunner`]'s per-client loop — add
+    /// each shell's unfrozen parameters into `agg`, file its blob and copy
+    /// out its loss. Frozen slots are never read: the per-step rollback
+    /// hook already pinned them, and the aggregate skips them anyway.
+    /// Returns how many of the clients were first-timers.
+    fn reduce_block(&mut self, mask: &FreezeMask, agg: &mut [f32], losses: &mut [f32]) -> u64 {
+        let (codec, wire_f16) = (self.cfg.codec, self.cfg.wire_f16);
+        let shells = &mut self.shells[..losses.len()];
+        for_each_shell(self.cfg.fl.parallel, shells, |_, shell| {
+            let trainer = shell.client.trainer();
+            shell.blob = Some(pack_dormant(
+                shell.client.rng_state(),
+                trainer.step_count() as u64,
+                &trainer.optimizer_state(),
+                codec,
+            ));
+            if wire_f16 {
+                for_each_unfrozen_param_run(&mut shell.client, mask, |v, _, _| {
+                    f16_roundtrip_in_place(v);
+                });
+            }
+        });
+        let mut fresh = 0;
+        for (shell, loss) in shells.iter_mut().zip(losses) {
+            // `y += x` per lane: bitwise what `masked_axpy(.., 1.0, ..)`
+            // computes over the same unfrozen runs.
+            for_each_unfrozen_param_run(&mut shell.client, mask, |v, s, e| {
+                for (y, &x) in agg[s..e].iter_mut().zip(v.iter()) {
+                    *y += x;
                 }
             });
-        } else {
-            for (shell, slot) in shells.iter_mut().zip(losses.iter_mut()) {
-                let hook = |p: &mut [f32]| mgr.rollback(p, round);
-                *slot = shell.client.local_round(local_iters, &hook);
-            }
+            let blob = shell.blob.take().expect("packed on the pool above");
+            self.registry.insert(shell.bound, blob);
+            *loss = shell.loss;
+            fresh += u64::from(shell.fresh);
         }
+        fresh
     }
 
     /// Runs one communication round and returns its record.
     pub fn run_round(&mut self, round: u64) -> RoundRecord {
         let _round_span = span!(Level::Info, target: "fedsim.pop", "round", round = round);
         let n = self.global.len();
-        let block = self.cfg.shells;
         let mask = self.mgr.frozen_mask_packed(round);
-        let words = mask.words().to_vec();
-        let mut cohort: Vec<u64> = Vec::new();
-        let mut losses: Vec<f32> = Vec::new();
+        let cohort = self.sample_cohort(round);
+        let mut losses = vec![0.0f32; cohort.len()];
         let mut agg = slab::take(n);
         let mut new_clients = 0u64;
         let mut compute_secs = 0.0f64;
-        let mut events = std::collections::VecDeque::new();
-        events.push_back(RoundEvent::Sample);
-        while let Some(ev) = events.pop_front() {
-            match ev {
-                RoundEvent::Sample => {
-                    cohort = self.sample_cohort(round);
-                    losses = vec![0.0f32; cohort.len()];
-                    let mut lo = 0;
-                    while lo < cohort.len() {
-                        events.push_back(RoundEvent::Train { lo });
-                        lo += block;
-                    }
-                    events.push_back(RoundEvent::Finalize);
-                }
-                RoundEvent::Train { lo } => {
-                    let hi = (lo + block).min(cohort.len());
-                    for (slot, idx) in (lo..hi).enumerate() {
-                        if self.materialize(slot, cohort[idx], round) {
-                            new_clients += 1;
-                        }
-                    }
-                    let t0 = Instant::now();
-                    self.train_block(round, hi - lo, &mut losses[lo..hi]);
-                    compute_secs += t0.elapsed().as_secs_f64();
-                    // Aggregate in ascending client order — the same f32
-                    // accumulation order as FlRunner's per-client loop.
-                    for slot in 0..hi - lo {
-                        let mut flat = self.shells[slot].client.flat_params();
-                        self.mgr.rollback(&mut flat, round);
-                        if self.cfg.wire_f16 {
-                            mask.for_each_unfrozen_run_in(0, n, |s, e| {
-                                f16_roundtrip_in_place(&mut flat[s..e]);
-                            });
-                        }
-                        apf_tensor::masked_axpy(&mut agg, &flat, 1.0, &words);
-                        apf_tensor::scratch::give(flat);
-                        self.suspend(slot);
-                    }
-                }
-                RoundEvent::Finalize => {
-                    // Weight total accumulated exactly as FlRunner sums its
-                    // per-client unit weights.
-                    let mut total = 0.0f32;
-                    for _ in 0..cohort.len() {
-                        total += 1.0;
-                    }
-                    apf_tensor::masked_div(&mut agg, total, &words);
-                    if self.cfg.wire_f16 {
-                        mask.for_each_unfrozen_run_in(0, n, |s, e| {
-                            f16_roundtrip_in_place(&mut agg[s..e]);
-                        });
-                    }
-                    self.mgr.apply_aggregate_dense(&mut self.rep, &agg, round);
-                }
+        let block = self.cfg.shells;
+        for (ids, block_losses) in cohort.chunks(block).zip(losses.chunks_mut(block)) {
+            {
+                let _s = span!(Level::Info, target: "fedsim.pop", "prepare", round = round);
+                self.prepare_block(ids);
             }
+            {
+                let _s = span!(Level::Info, target: "fedsim.pop", "train", round = round);
+                let t0 = Instant::now();
+                self.train_block(round, ids.len());
+                compute_secs += t0.elapsed().as_secs_f64();
+            }
+            let _s = span!(Level::Info, target: "fedsim.pop", "reduce", round = round);
+            new_clients += self.reduce_block(&mask, &mut agg, block_losses);
         }
+        // Weight total accumulated exactly as FlRunner sums its per-client
+        // unit weights.
+        let mut total = 0.0f32;
+        for _ in 0..cohort.len() {
+            total += 1.0;
+        }
+        apf_tensor::masked_div(&mut agg, total, mask.words());
+        if self.cfg.wire_f16 {
+            mask.for_each_unfrozen_run_in(0, n, |s, e| {
+                f16_roundtrip_in_place(&mut agg[s..e]);
+            });
+        }
+        self.mgr.apply_aggregate_dense(&mut self.rep, &agg, round);
         let report = self.mgr.finish_round(&self.rep, round);
         self.global.copy_from_slice(&self.rep);
         slab::give(agg);

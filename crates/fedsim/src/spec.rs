@@ -469,10 +469,10 @@ impl RunSpec {
         .build()
     }
 
-    /// Assembles the event-driven population runner for this spec: the same
-    /// registered clients and data shards as [`RunSpec::build_runner`], but
-    /// held as compact dormant registry state with cohort sampling per
-    /// [`RunSpec::cohort`]. With `cohort == 0` and a dense dormant codec the
+    /// Assembles the sampled-participation population runner for this
+    /// spec: the same registered clients and data shards as
+    /// [`RunSpec::build_runner`], but held as compact dormant registry
+    /// state with cohort sampling per [`RunSpec::cohort`]. With `cohort == 0` and a dense dormant codec the
     /// result is bitwise identical to the classic runner.
     ///
     /// # Panics

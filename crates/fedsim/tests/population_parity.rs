@@ -1,13 +1,13 @@
 //! Population-runner parity: at full participation (`cohort = 0`) with the
-//! dense dormant codec, the event-driven [`apf_fedsim::PopulationRunner`]
-//! must be **bitwise identical** to the classic [`apf_fedsim::FlRunner`] on
-//! the golden fixture — same metric trajectory, same final global model —
-//! at any thread count. This pins the whole suspend/resume chain: dormant
+//! dense dormant codec, [`apf_fedsim::PopulationRunner`] must be **bitwise
+//! identical** to the classic [`apf_fedsim::FlRunner`] on the golden
+//! fixture — same metric trajectory, same final global model — at any
+//! thread count, with or without the f16 wire path. This pins the whole suspend/resume chain: dormant
 //! client blobs (RNG + step counter + optimizer state), shell recycling,
 //! the single shared §6.2 manager, and its per-round dormant encode/decode
 //! hop all have to be lossless for this to hold.
 
-use apf_fedsim::{RunSpec, Trajectory};
+use apf_fedsim::{RunSpec, SpecStrategy, Trajectory};
 use apf_testkit::golden::{run_recorded, GoldenOutcome};
 
 fn population_outcome(spec: &RunSpec) -> GoldenOutcome {
@@ -130,4 +130,40 @@ fn trajectory_encoding_roundtrips_population_runs() {
     let t = out.trajectory();
     let decoded = Trajectory::decode(&t.encode()).expect("self-encoded trajectory");
     assert_eq!(t, decoded);
+}
+
+#[test]
+fn f16_wire_full_participation_matches_classic_bitwise() {
+    // The population runner's fp16 wire path (§7.7): unfrozen parameters
+    // are rounded through f16 before the reduce and the aggregate once
+    // after it. At full participation it must still be FlRunner, bit for
+    // bit, at any thread count.
+    let spec = RunSpec {
+        rounds: 8,
+        strategy: SpecStrategy::Apf {
+            check_every: 1,
+            threshold: 0.1,
+            ema_alpha: 0.9,
+            f16: true,
+        },
+        ..RunSpec::golden()
+    };
+    let classic = apf_par::with_threads(1, || run_recorded(&spec));
+    assert!(
+        classic.log.records.iter().any(|r| r.frozen_ratio > 0.0),
+        "fixture must freeze something, or the masked f16 path is untested"
+    );
+    for t in [1usize, 2, 7] {
+        let pop = apf_par::with_threads(t, || population_outcome(&spec));
+        assert_eq!(
+            classic.global_bits(),
+            pop.global_bits(),
+            "f16 population global model diverged from FlRunner at {t} threads"
+        );
+        assert_eq!(
+            classic.trajectory(),
+            pop.trajectory(),
+            "f16 population trajectory diverged from FlRunner at {t} threads"
+        );
+    }
 }

@@ -1,5 +1,6 @@
-//! Integration test: a short federated run emits the documented span tree
-//! and every JSONL line round-trips through the in-tree JSON parser.
+//! Integration test: short `FlRunner` and `PopulationRunner` runs emit the
+//! documented span trees, and every JSONL line round-trips through the
+//! in-tree JSON parser.
 //!
 //! This file is its own test binary, so the process-global trace state it
 //! installs cannot leak into other tests.
@@ -8,10 +9,15 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use apf::ApfConfig;
-use apf_data::{iid_partition, synth_images_split, Dataset};
+use apf_data::{iid_partition, synth_images_split, Dataset, SynthImageGen};
 use apf_fedsim::json::{self, Value};
-use apf_fedsim::{ApfStrategy, FlConfig, FlRunner, OptimizerKind};
-use apf_nn::models;
+use apf_fedsim::{
+    ApfStrategy, FlConfig, FlRunner, OptimizerKind, PopulationConfig, PopulationData,
+    PopulationRunner,
+};
+use apf_nn::{models, LrSchedule};
+use apf_quant::EmaCodec;
+use apf_tensor::Tensor;
 use apf_trace::{Level, MemorySink};
 
 const ROUNDS: usize = 3;
@@ -29,19 +35,35 @@ fn mlp(seed: u64) -> apf_nn::Sequential {
     models::mlp("m", &[3 * 16 * 16, 12, 10], seed)
 }
 
-/// Runs 3 APF rounds once per process with an in-memory sink installed at
-/// Debug level and returns the captured JSONL lines. Shared across the tests
-/// in this binary because the trace sink and metrics registry are
-/// process-global.
-fn traced_run() -> &'static [String] {
-    static LINES: OnceLock<Vec<String>> = OnceLock::new();
-    LINES.get_or_init(traced_run_impl)
+/// Captures, once per process, two traces at Debug level: a 3-round
+/// `FlRunner` APF run, then a population run. Each gets its own in-memory
+/// sink, installed in turn, so neither trace sees the other's records.
+/// Shared across the tests in this binary because the trace sink and
+/// metrics registry are process-global.
+fn captures() -> &'static (Vec<String>, Vec<String>) {
+    static LINES: OnceLock<(Vec<String>, Vec<String>)> = OnceLock::new();
+    LINES.get_or_init(|| (capture(fl_run), capture(population_run)))
 }
 
-fn traced_run_impl() -> Vec<String> {
+/// The captured `FlRunner` trace lines.
+fn traced_run() -> &'static [String] {
+    &captures().0
+}
+
+/// The captured population trace lines.
+fn traced_population_run() -> &'static [String] {
+    &captures().1
+}
+
+fn capture(run: fn()) -> Vec<String> {
     let sink = Arc::new(MemorySink::new());
     apf_trace::init(Level::Debug, sink.clone());
+    run();
+    apf_trace::shutdown();
+    sink.lines()
+}
 
+fn fl_run() {
     let train = flat_images(96, 0);
     let test = flat_images(48, 1);
     let parts = iid_partition(train.len(), 3, 7);
@@ -75,9 +97,47 @@ fn traced_run_impl() -> Vec<String> {
     .strategy(Box::new(strategy))
     .build();
     runner.run();
+}
 
-    apf_trace::shutdown();
-    sink.lines()
+/// Population rounds: 5 of 50 registered clients per round through 2
+/// shells, so every round streams 3 blocks.
+const POP_BLOCKS: usize = 3;
+
+fn population_run() {
+    let gen = SynthImageGen::new(7);
+    let row = gen.sample_numel();
+    let (mut data, mut labels) = (Vec::new(), Vec::new());
+    gen.fill_split(16, 1, &mut data, &mut labels);
+    let test = Dataset::new(Tensor::from_vec(data, &[16, row]), labels, 10);
+    let cfg = PopulationConfig {
+        fl: FlConfig {
+            local_iters: 2,
+            rounds: ROUNDS,
+            batch_size: 4,
+            eval_every: 1,
+            seed: 7,
+            ..FlConfig::default()
+        },
+        registered: 50,
+        cohort: 5,
+        codec: EmaCodec::Dense,
+        shells: 2,
+        apf: ApfConfig::default(),
+        wire_f16: false,
+        optimizer: OptimizerKind::Sgd {
+            lr: 0.05,
+            momentum: 0.0,
+            weight_decay: 0.0,
+        },
+        schedule: LrSchedule::Constant(0.05),
+    };
+    PopulationRunner::new(
+        cfg,
+        move |seed| models::mlp("m", &[row, 12, 10], seed),
+        PopulationData::Synth { gen, per_client: 8 },
+        test,
+    )
+    .run();
 }
 
 /// Every line must parse as a JSON object with the documented envelope.
@@ -262,4 +322,45 @@ fn three_round_run_emits_expected_events() {
         })
         .expect("fedsim.rounds counter emitted");
     assert!(u64_field(fed_rounds, "value") >= ROUNDS as u64);
+}
+
+#[test]
+fn population_round_phases_nest_under_round() {
+    let records = parse_all(traced_population_run());
+    let rounds = spans(&records, "fedsim.pop", "round");
+    assert_eq!(
+        rounds.len(),
+        ROUNDS,
+        "expected one population round span per round"
+    );
+    let mut round_durs: BTreeMap<u64, u64> = BTreeMap::new();
+    for v in &rounds {
+        let id = v.get("id").and_then(Value::as_u64).unwrap();
+        round_durs.insert(id, v.get("dur_us").and_then(Value::as_u64).unwrap());
+    }
+    // Every block opens one prepare, one train and one reduce span, each a
+    // direct child of its round: they are opened on the thread that runs
+    // the round, never on a pool worker.
+    for phase in ["prepare", "train", "reduce"] {
+        let phase_spans = spans(&records, "fedsim.pop", phase);
+        assert_eq!(
+            phase_spans.len(),
+            ROUNDS * POP_BLOCKS,
+            "expected {POP_BLOCKS} {phase} spans per round"
+        );
+        let mut per_round: BTreeMap<u64, usize> = BTreeMap::new();
+        for v in phase_spans {
+            let parent = v.get("parent").and_then(Value::as_u64).unwrap();
+            let dur = v.get("dur_us").and_then(Value::as_u64).unwrap();
+            let round_dur = round_durs
+                .get(&parent)
+                .unwrap_or_else(|| panic!("{phase} span is not a child of a round span: {v:?}"));
+            assert!(dur <= *round_dur, "{phase} span longer than its round");
+            *per_round.entry(parent).or_default() += 1;
+        }
+        assert!(
+            per_round.values().all(|&c| c == POP_BLOCKS),
+            "{phase} spans per round: {per_round:?}"
+        );
+    }
 }

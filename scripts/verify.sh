@@ -221,10 +221,10 @@ echo "== zero-alloc disabled profiling on the hot path =="
 APF_PAR_THREADS=1 cargo test -q --offline -p apf-prof --test disabled_alloc
 
 echo "== population simulator: sampled-cohort smoke (100k registered) =="
-# The event-driven population runner at 100k registered / 256 sampled:
-# zero slab misses once the warm-up round has filled the size classes, a
-# bitwise-identical trajectory and global model across reruns at different
-# thread counts (cohorts derive from (seed, round), nothing else), and a
+# The population runner at 100k registered / 256 sampled, run at 4, 2 and
+# 1 threads: zero slab misses in every run once the warm-up round has
+# filled the size classes, a bitwise-identical trajectory and global model
+# across the three thread counts (cohorts derive from (seed, round), nothing else), and a
 # registry that holds compact dormant state for participants only. The
 # bitwise C=1.0 parity against FlRunner runs in the workspace suite above
 # (apf-fedsim --test population_parity).
