@@ -4,7 +4,7 @@
 //! `cargo bench -p apf-bench --bench quant`.
 
 use apf_bench::harness::{black_box, BenchGroup};
-use apf_quant::{f16_decode, f16_encode, qsgd_encode, ternary_encode};
+use apf_quant::{f16_decode, f16_encode};
 
 fn payload(n: usize) -> Vec<f32> {
     (0..n).map(|i| ((i as f32) * 0.37).sin() * 2.0).collect()
@@ -16,22 +16,6 @@ fn main() {
         let xs = payload(n);
         g.bench(&n.to_string(), || {
             black_box(f16_decode(&f16_encode(&xs)));
-        });
-    }
-
-    let mut g = BenchGroup::new("qsgd_encode");
-    for &n in &[1_000usize, 20_000] {
-        let xs = payload(n);
-        g.bench(&n.to_string(), || {
-            black_box(qsgd_encode(&xs, 4, 0));
-        });
-    }
-
-    let mut g = BenchGroup::new("ternary_encode");
-    for &n in &[1_000usize, 20_000] {
-        let xs = payload(n);
-        g.bench(&n.to_string(), || {
-            black_box(ternary_encode(&xs, 0));
         });
     }
 }

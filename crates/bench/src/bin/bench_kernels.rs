@@ -15,7 +15,10 @@
 //! probe (LeNet-5's conv2 forward at a 16×16 input the model never feeds
 //! it), `conv1` is the layer that dominates LeNet-5 training — conv1 at its
 //! real `[16, 3, 16, 16]` batch, forward plus the parameters-only backward
-//! the first layer runs.
+//! the first layer runs. `lstm2` is the keyword-spotting model's second
+//! LSTM layer at its training batch `[16, 20, 64]`, forward plus full
+//! backward (the recurrence's per-step GEMMs are small, so this row tracks
+//! per-step overhead as much as GEMM throughput).
 //!
 //! The host's speed drifts (other tenants, frequency changes), so absolute
 //! figures from two runs minutes apart do not compare. Every timed kernel
@@ -83,13 +86,14 @@ static ALLOC: apf_prof::alloc::ProfAlloc = apf_prof::alloc::ProfAlloc;
 
 use apf::{ApfConfig, FreezeMask};
 use apf_bench::harness::{black_box, calibrate, sample, BenchGroup, Ratio};
+use apf_bench::regress::BENCH_KERNELS;
 use apf_bench::setups::{standard_builder, ModelKind, Scale};
 use apf_data::{iid_partition, Dataset, SynthImageGen};
 use apf_fedsim::{
     fnv1a64, FlConfig, FullSync, LedgerRecord, OptimizerKind, PopulationConfig, PopulationData,
     PopulationRunner,
 };
-use apf_nn::{models, Adam, LrSchedule, Optimizer, Sgd};
+use apf_nn::{models, Adam, Layer, LrSchedule, LstmLayer, Mode, Optimizer, Sgd};
 use apf_quant::EmaCodec;
 use apf_tensor::{
     conv2d_backward_params_fused, conv2d_forward_fused, normal_init, scratch, seeded_rng, slab,
@@ -140,13 +144,12 @@ struct ThreadResult {
     /// threads cannot speed anything up); mark them so regression checks
     /// skip them.
     reliable: bool,
-    matmul_gflops: f64,
-    conv2d_gflops: f64,
-    conv1_gflops: f64,
+    /// GFLOP/s of each of [`BENCH_KERNELS`].
+    gflops: [f64; 4],
     round_ms: f64,
-    /// `[matmul, conv2d, conv1]` GFLOP/s over the reference's GFLOP/s,
-    /// then the round wall time in reference calls.
-    rel: [Ratio; 4],
+    /// Each kernel's GFLOP/s over the reference's GFLOP/s, then the round
+    /// wall time in reference calls.
+    rel: [Ratio; 5],
 }
 
 struct MaskedResult {
@@ -339,6 +342,26 @@ fn bench_conv1(g: &mut BenchGroup, r: &Reference, threads: usize) -> (f64, Vec<f
         let (gw, gb) = conv2d_backward_params_fused(&grad, &input, &spec);
         black_box(gw).recycle();
         black_box(gb).recycle();
+    })
+}
+
+/// The LSTM classifier's second layer at its training shape (batch 16,
+/// 20 steps, 64 inputs, hidden 64): one forward pass plus the full
+/// backward pass (it is not the model's first layer, so it computes its
+/// input gradient).
+fn bench_lstm2(g: &mut BenchGroup, r: &Reference, threads: usize) -> (f64, Vec<f64>) {
+    let mut rng = seeded_rng(7);
+    let (n, t, d, h) = (16usize, models::SEQ_LEN, 64usize, 64usize);
+    let mut layer = LstmLayer::new("lstm2", d, h, &mut rng);
+    let x = normal_init(&[n, t, d], 0.0, 1.0, &mut rng);
+    let grad = normal_init(&[n, t, h], 0.0, 0.01, &mut rng);
+    // Forward: 2·N·T·4H·(D+H) for the input and recurrent products;
+    // backward twice that (weight gradients plus input/carry gradients).
+    let fwd = 2.0 * (n * t * 4 * h * (d + h)) as f64;
+    r.throughput(g, &format!("lstm2_t{threads}"), 3.0 * fwd, || {
+        let y = layer.forward(x.scratch_copy(), Mode::Train, &mut rng);
+        black_box(y).recycle();
+        black_box(layer.backward(grad.scratch_copy())).recycle();
     })
 }
 
@@ -557,15 +580,19 @@ fn json_escape_free(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"threads\": {}, \"reliable\": {}, \"matmul_gflops\": {:.4}, \"conv2d_gflops\": {:.4}, \"conv1_gflops\": {:.4}, \"round_ms\": {:.3}, {}}}{}\n",
+            "    {{\"threads\": {}, \"reliable\": {}, {}, \"round_ms\": {:.3}, {}}}{}\n",
             r.threads,
             r.reliable,
-            r.matmul_gflops,
-            r.conv2d_gflops,
-            r.conv1_gflops,
-            r.round_ms,
-            ["matmul", "conv2d", "conv1", "round"]
+            BENCH_KERNELS
                 .iter()
+                .zip(&r.gflops)
+                .map(|(name, x)| format!("\"{name}_gflops\": {x:.4}"))
+                .collect::<Vec<_>>()
+                .join(", "),
+            r.round_ms,
+            BENCH_KERNELS
+                .iter()
+                .chain(&["round"])
                 .zip(&r.rel)
                 .map(|(name, x)| format!(
                     "\"{name}_rel\": {:.4}, \"{name}_rel_spread\": {:.4}",
@@ -641,15 +668,9 @@ fn ledger_record(
     // out of the ledger means downstream diffs never regress on them.
     for r in results.iter().filter(|r| r.reliable) {
         let t = r.threads;
-        record
-            .metrics
-            .insert(format!("matmul_gflops_t{t}"), r.matmul_gflops);
-        record
-            .metrics
-            .insert(format!("conv2d_gflops_t{t}"), r.conv2d_gflops);
-        record
-            .metrics
-            .insert(format!("conv1_gflops_t{t}"), r.conv1_gflops);
+        for (name, &x) in BENCH_KERNELS.iter().zip(&r.gflops) {
+            record.metrics.insert(format!("{name}_gflops_t{t}"), x);
+        }
         record.metrics.insert(format!("round_ms_t{t}"), r.round_ms);
     }
     for r in masked {
@@ -723,11 +744,11 @@ fn main() {
     let mut g = BenchGroup::new("kernels_by_threads");
     let reference = Reference::new();
     // Per thread count: the best GFLOP/s of each kernel (matmul, conv2d,
-    // conv1) over all passes, the mean round time, and every pass's
-    // relative samples of the four.
-    let mut gflops = [[0.0f64; 3]; THREADS.len()];
+    // conv1, lstm2) over all passes, the mean round time, and every pass's
+    // relative samples of the five.
+    let mut gflops = [[0.0f64; BENCH_KERNELS.len()]; THREADS.len()];
     let mut round_ms = [0.0f64; THREADS.len()];
-    let mut rels: [[Vec<f64>; 4]; THREADS.len()] = Default::default();
+    let mut rels: [[Vec<f64>; 5]; THREADS.len()] = Default::default();
     for _ in 0..PASSES {
         for (ti, &threads) in THREADS.iter().enumerate() {
             apf_par::set_threads(threads);
@@ -735,6 +756,7 @@ fn main() {
                 bench_matmul(&mut g, &reference, threads),
                 bench_conv2d(&mut g, &reference, threads),
                 bench_conv1(&mut g, &reference, threads),
+                bench_lstm2(&mut g, &reference, threads),
             ];
             for (ki, (abs, rel)) in kernels.into_iter().enumerate() {
                 gflops[ti][ki] = gflops[ti][ki].max(abs);
@@ -742,17 +764,14 @@ fn main() {
             }
             let (ms, rel) = bench_round(&reference);
             round_ms[ti] += ms / PASSES as f64;
-            rels[ti][3].extend(rel);
+            rels[ti][4].extend(rel);
         }
     }
     for (ti, &threads) in THREADS.iter().enumerate() {
-        let [matmul_gflops, conv2d_gflops, conv1_gflops] = gflops[ti];
         results.push(ThreadResult {
             threads,
             reliable: threads <= host_parallelism,
-            matmul_gflops,
-            conv2d_gflops,
-            conv1_gflops,
+            gflops: gflops[ti],
             round_ms: round_ms[ti],
             rel: std::mem::take(&mut rels[ti]).map(Ratio::of),
         });

@@ -201,25 +201,30 @@ pub struct BenchRow {
     /// and are skipped by [`check_bench_json`]. Absent means reliable —
     /// baselines predate the field.
     pub reliable: bool,
-    /// Matmul throughput, GFLOP/s (higher is better).
-    pub matmul_gflops: f64,
-    /// Conv2d throughput, GFLOP/s (higher is better).
-    pub conv2d_gflops: f64,
-    /// LeNet-5 conv1 forward + parameters-only backward throughput,
-    /// GFLOP/s (higher is better; 0 in baselines that predate the row,
-    /// which skips the check).
-    pub conv1_gflops: f64,
+    /// Throughput of each of [`BENCH_KERNELS`], GFLOP/s (higher is
+    /// better; 0 in baselines that predate a kernel, which skips its
+    /// check).
+    pub gflops: [f64; 4],
     /// Mean federated round wall time, ms (lower is better).
     pub round_ms: f64,
-    /// `matmul`, `conv2d` and `conv1` GFLOP/s over the same-run
-    /// reference's GFLOP/s, and the round time in reference calls (same
-    /// directions as the absolute figures). 0 in baselines that predate
-    /// them, which falls back to gating the absolute figures.
-    pub rel: [f64; 4],
+    /// Each kernel's GFLOP/s over the same-run reference's GFLOP/s, then
+    /// the round time in reference calls (same directions as the absolute
+    /// figures). 0 in baselines that predate them, which falls back to
+    /// gating the absolute figures.
+    pub rel: [f64; 5],
     /// Each `rel` figure's own noise in its run: interquartile range over
     /// median across its sample pairs (0 when absent).
-    pub rel_spread: [f64; 4],
+    pub rel_spread: [f64; 5],
 }
+
+/// The kernel rows of `BENCH_kernels.json`, in [`BenchRow::gflops`]
+/// order: a 192² matmul, LeNet-5's conv2 forward, LeNet-5's conv1 forward
+/// plus parameters-only backward, and the LSTM classifier's second layer,
+/// forward plus backward.
+pub const BENCH_KERNELS: [&str; 4] = ["matmul", "conv2d", "conv1", "lstm2"];
+
+/// The `rel` figures' names: the kernels, then the round.
+const REL_FIGURES: [&str; 5] = ["matmul", "conv2d", "conv1", "lstm2", "round"];
 
 /// One freeze-ratio row of the masked-compute sweep (all lower-is-better
 /// step/aggregation times, in milliseconds).
@@ -291,13 +296,10 @@ pub fn parse_bench_json(text: &str) -> Result<BenchDoc, String> {
             BenchRow {
                 threads: r.get("threads").and_then(Value::as_u64).unwrap_or(0),
                 reliable: r.get("reliable").and_then(Value::as_bool).unwrap_or(true),
-                matmul_gflops: num("matmul_gflops"),
-                conv2d_gflops: num("conv2d_gflops"),
-                conv1_gflops: num("conv1_gflops"),
+                gflops: BENCH_KERNELS.map(|k| num(&format!("{k}_gflops"))),
                 round_ms: num("round_ms"),
-                rel: ["matmul", "conv2d", "conv1", "round"].map(|k| num(&format!("{k}_rel"))),
-                rel_spread: ["matmul", "conv2d", "conv1", "round"]
-                    .map(|k| num(&format!("{k}_rel_spread"))),
+                rel: REL_FIGURES.map(|k| num(&format!("{k}_rel"))),
+                rel_spread: REL_FIGURES.map(|k| num(&format!("{k}_rel_spread"))),
             }
         })
         .collect();
@@ -405,14 +407,8 @@ pub fn check_bench_json(
         // that drift. The absolute figure then only warns. A twin may
         // move by the tolerance, or by the noise the two runs measured in
         // it when that is larger (see `rel_allowance`).
-        for (i, (name, base, cand)) in [
-            ("matmul", base_row.matmul_gflops, cand_row.matmul_gflops),
-            ("conv2d", base_row.conv2d_gflops, cand_row.conv2d_gflops),
-            ("conv1", base_row.conv1_gflops, cand_row.conv1_gflops),
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (i, name) in BENCH_KERNELS.into_iter().enumerate() {
+            let (base, cand) = (base_row.gflops[i], cand_row.gflops[i]);
             let (base_rel, cand_rel) = (base_row.rel[i], cand_row.rel[i]);
             let rel_gated = base_rel > 0.0 && cand_rel > 0.0;
             let abs_severity = if rel_gated { Severity::Warn } else { severity };
@@ -434,7 +430,8 @@ pub fn check_bench_json(
                 ));
             }
         }
-        let (base_rel, cand_rel) = (base_row.rel[3], cand_row.rel[3]);
+        let round = BENCH_KERNELS.len();
+        let (base_rel, cand_rel) = (base_row.rel[round], cand_row.rel[round]);
         let rel_gated = base_rel > 0.0 && cand_rel > 0.0;
         findings.extend(time_growth(
             format!("round_ms_t{t}"),
@@ -448,7 +445,7 @@ pub fn check_bench_json(
                 format!("round_rel_t{t}"),
                 base_rel,
                 cand_rel,
-                rel_allowance(tol, base_row, cand_row, 3),
+                rel_allowance(tol, base_row, cand_row, round),
                 severity,
             ));
         }
@@ -703,30 +700,34 @@ mod tests {
     }
 
     #[test]
-    fn conv1_row_is_gated_once_the_baseline_has_it() {
-        let row = |conv1: &str| {
-            format!(
-                "{{\"host_parallelism\": 2, \"results\": [\
-                 {{\"threads\": 1, \"matmul_gflops\": 10.0, \"conv2d_gflops\": 10.0,\
-                   {conv1} \"round_ms\": 100.0}}]}}"
-            )
-        };
-        let base = row("\"conv1_gflops\": 8.0,");
-        let slow = row("\"conv1_gflops\": 4.0,");
-        let f = check_bench_json(&base, &slow, &Tolerances::default()).unwrap();
-        assert!(any_failure(&f));
-        assert!(f.iter().any(|x| x.field == "conv1_gflops_t1"), "{f:?}");
-        // A baseline that predates the row cannot regress on it.
-        let f = check_bench_json(&row(""), &slow, &Tolerances::default()).unwrap();
-        assert!(f.is_empty(), "{f:?}");
+    fn layer_rows_are_gated_once_the_baseline_has_them() {
+        for kernel in ["conv1", "lstm2"] {
+            let row = |extra: &str| {
+                format!(
+                    "{{\"host_parallelism\": 2, \"results\": [\
+                     {{\"threads\": 1, \"matmul_gflops\": 10.0, \"conv2d_gflops\": 10.0,\
+                       {extra} \"round_ms\": 100.0}}]}}"
+                )
+            };
+            let base = row(&format!("\"{kernel}_gflops\": 8.0,"));
+            let slow = row(&format!("\"{kernel}_gflops\": 4.0,"));
+            let f = check_bench_json(&base, &slow, &Tolerances::default()).unwrap();
+            assert!(any_failure(&f));
+            let field = format!("{kernel}_gflops_t1");
+            assert!(f.iter().any(|x| x.field == field), "{f:?}");
+            // A baseline that predates the row cannot regress on it.
+            let f = check_bench_json(&row(""), &slow, &Tolerances::default()).unwrap();
+            assert!(f.is_empty(), "{f:?}");
+        }
     }
 
     fn rel_doc(gflops: f64, round_ms: f64, rel: f64, round_rel: f64) -> String {
         format!(
             "{{\"host_parallelism\": 2, \"results\": [\
              {{\"threads\": 1, \"matmul_gflops\": {gflops}, \"conv2d_gflops\": {gflops}, \
-               \"conv1_gflops\": {gflops}, \"round_ms\": {round_ms}, \"matmul_rel\": {rel}, \
-               \"conv2d_rel\": {rel}, \"conv1_rel\": {rel}, \"round_rel\": {round_rel}}}]}}"
+               \"conv1_gflops\": {gflops}, \"lstm2_gflops\": {gflops}, \"round_ms\": {round_ms}, \
+               \"matmul_rel\": {rel}, \"conv2d_rel\": {rel}, \"conv1_rel\": {rel}, \
+               \"lstm2_rel\": {rel}, \"round_rel\": {round_rel}}}]}}"
         )
     }
 
@@ -746,6 +747,7 @@ mod tests {
             "matmul_rel_t1",
             "conv2d_rel_t1",
             "conv1_rel_t1",
+            "lstm2_rel_t1",
             "round_rel_t1",
         ] {
             assert!(

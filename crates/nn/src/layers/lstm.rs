@@ -1,7 +1,7 @@
 //! LSTM layer with full backpropagation-through-time, plus the [`LastStep`]
 //! adapter that feeds the final hidden state into a classification head.
 
-use apf_tensor::Rng;
+use apf_tensor::{matmul_into, matmul_nt_into, matmul_tn_into, scratch, Rng};
 use apf_tensor::{xavier_uniform, Tensor};
 
 use crate::layer::{Layer, Mode};
@@ -13,6 +13,16 @@ use crate::layers::activation::sigmoid;
 /// `[N, T, hidden]`. Gates are packed `i, f, g, o` along the `4H` axis.
 /// Parameters: `"<name>-wih"` (`[4H, D]`), `"<name>-whh"` (`[4H, H]`),
 /// `"<name>-b"` (`[4H]`).
+///
+/// The recurrence runs over a few whole-sequence buffers. Forward projects
+/// every step's input with one GEMM, `x[N·T, D] · W_ihᵀ`, straight into the
+/// gate buffer; each step then adds `h_{t-1} · W_hhᵀ` and the bias, in the
+/// order `(xw + hw) + b`, and applies the gates in place. Backward writes
+/// each step's pre-activation gradient over that step's (dead) gate rows,
+/// accumulates the parameter gradients step by step in reverse time, and
+/// computes the input gradient with one GEMM over all steps at the end.
+/// Every GEMM output element is one ascending-`k` dot product at any row
+/// count, so batching the steps changes no bit of any result.
 pub struct LstmLayer {
     name: String,
     input_size: usize,
@@ -26,17 +36,39 @@ pub struct LstmLayer {
     cache: Option<LstmCache>,
 }
 
+/// What forward leaves for backward. Every buffer is time-major (step `t`
+/// owns rows `t·N .. (t+1)·N`) and comes from the scratch pool; backward
+/// hands them back, and a forward with no backward after it (evaluation)
+/// hands back its predecessor's.
 struct LstmCache {
-    /// Per-timestep input `[N, D]`.
-    xs: Vec<Tensor>,
-    /// h_{t} for t = -1..T-1 (index 0 is the initial zero state) `[N, H]`.
-    hs: Vec<Tensor>,
-    /// c_{t} for t = -1..T-1, same convention.
-    cs: Vec<Tensor>,
-    /// Post-activation gates per timestep `[N, 4H]` packed i,f,g,o.
-    gates: Vec<Tensor>,
+    /// The input `[T·N, D]`.
+    x: Vec<f32>,
+    /// Post-activation gates `[T·N, 4H]`, packed i,f,g,o. Backward
+    /// overwrites each step's rows with its pre-activation gradient.
+    gates: Vec<f32>,
+    /// `h_{t-1}` for t = 0..=T `[(T+1)·N, H]`; block 0 is the zero state.
+    hs: Vec<f32>,
+    /// `c_{t-1}`, same convention.
+    cs: Vec<f32>,
+    /// `tanh(c_t)` for t = 0..T `[T·N, H]`.
+    tanh_c: Vec<f32>,
     n: usize,
     t: usize,
+}
+
+impl LstmCache {
+    fn recycle(self) {
+        for buf in [self.x, self.gates, self.hs, self.cs, self.tanh_c] {
+            scratch::give(buf);
+        }
+    }
+}
+
+/// `dst += src`, elementwise.
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
 }
 
 impl std::fmt::Debug for LstmLayer {
@@ -77,6 +109,80 @@ impl LstmLayer {
     pub fn hidden(&self) -> usize {
         self.hidden
     }
+
+    /// Runs BPTT from the output gradient: accumulates the parameter
+    /// gradients and returns the cache with each step's pre-activation
+    /// gradient `[T·N, 4H]` in place of its gates.
+    fn backward_steps(&mut self, grad: Tensor) -> LstmCache {
+        let mut cache = self.cache.take().expect("lstm backward before forward");
+        let (n, t, h, d) = (cache.n, cache.t, self.hidden, self.input_size);
+        assert_eq!(grad.shape(), &[n, t, h], "lstm grad shape mismatch");
+        let (g4, nh) = (4 * h, n * h);
+        let gd = grad.data();
+
+        // Carries from step t+1 (zero past the last step) and per-step
+        // parameter-gradient terms.
+        let mut dh = scratch::take(nh);
+        let mut dc = scratch::take(nh);
+        let mut gw_ih = scratch::take(g4 * d);
+        let mut gw_hh = scratch::take(g4 * h);
+        let mut gb = scratch::take(g4);
+
+        for ti in (0..t).rev() {
+            // dh_t = carry from t+1 + grad from the output sequence.
+            for (ni, row) in dh.chunks_exact_mut(h).enumerate() {
+                add_into(row, &gd[(ni * t + ti) * h..][..h]);
+            }
+            let dpre = &mut cache.gates[ti * n * g4..(ti + 1) * n * g4];
+            let c_prev = &cache.cs[ti * nh..(ti + 1) * nh];
+            let tanh_c = &cache.tanh_c[ti * nh..(ti + 1) * nh];
+            for ni in 0..n {
+                let row = &mut dpre[ni * g4..(ni + 1) * g4];
+                for hi in 0..h {
+                    let k = ni * h + hi;
+                    let ig = row[hi];
+                    let fg = row[h + hi];
+                    let gg = row[2 * h + hi];
+                    let og = row[3 * h + hi];
+                    let tc = tanh_c[k];
+                    let dhv = dh[k];
+                    let mut dcv = dc[k];
+                    dcv += dhv * og * (1.0 - tc * tc);
+                    let do_ = dhv * tc;
+                    let di = dcv * gg;
+                    let dg = dcv * ig;
+                    let df = dcv * c_prev[k];
+                    dc[k] = dcv * fg;
+                    row[hi] = di * ig * (1.0 - ig);
+                    row[h + hi] = df * fg * (1.0 - fg);
+                    row[2 * h + hi] = dg * (1.0 - gg * gg);
+                    row[3 * h + hi] = do_ * og * (1.0 - og);
+                }
+            }
+            let dpre = &cache.gates[ti * n * g4..(ti + 1) * n * g4];
+
+            // Parameter gradients, one step at a time: summing over all
+            // steps in one GEMM would reassociate the accumulation.
+            matmul_tn_into(dpre, &cache.x[ti * n * d..][..n * d], g4, n, d, &mut gw_ih);
+            add_into(self.grad_w_ih.data_mut(), &gw_ih);
+            matmul_tn_into(dpre, &cache.hs[ti * nh..][..nh], g4, n, h, &mut gw_hh);
+            add_into(self.grad_w_hh.data_mut(), &gw_hh);
+            gb.fill(0.0);
+            for row in dpre.chunks_exact(g4) {
+                add_into(&mut gb, row);
+            }
+            add_into(self.grad_bias.data_mut(), &gb);
+
+            // Recurrent carry dh_{t-1} = dpre_t · W_hh.
+            matmul_into(dpre, self.w_hh.data(), n, g4, h, &mut dh);
+        }
+
+        for buf in [dh, dc, gw_ih, gw_hh, gb] {
+            scratch::give(buf);
+        }
+        grad.recycle();
+        cache
+    }
 }
 
 impl Layer for LstmLayer {
@@ -85,134 +191,103 @@ impl Layer for LstmLayer {
         assert_eq!(s.len(), 3, "lstm expects [N, T, D]");
         let (n, t, d) = (s[0], s[1], s[2]);
         assert_eq!(d, self.input_size, "lstm input width mismatch");
-        let h = self.hidden;
-
-        let mut xs = Vec::with_capacity(t);
-        for ti in 0..t {
-            // Gather x[:, ti, :] into [N, D].
-            let mut step = vec![0.0f32; n * d];
-            for ni in 0..n {
-                let src = &x.data()[(ni * t + ti) * d..(ni * t + ti + 1) * d];
-                step[ni * d..(ni + 1) * d].copy_from_slice(src);
-            }
-            xs.push(Tensor::from_vec(step, &[n, d]));
+        // An evaluation forward leaves a cache no backward consumed.
+        if let Some(stale) = self.cache.take() {
+            stale.recycle();
         }
+        let h = self.hidden;
+        let (g4, nh, rows) = (4 * h, n * h, n * t);
 
-        let mut hs = vec![Tensor::zeros(&[n, h])];
-        let mut cs = vec![Tensor::zeros(&[n, h])];
-        let mut gates = Vec::with_capacity(t);
-        let mut out = vec![0.0f32; n * t * h];
+        // Time-major copy of the input: row t·N + n is x[n, t, :].
+        let mut xs = scratch::take_reserved(rows * d);
+        for ti in 0..t {
+            for ni in 0..n {
+                xs.extend_from_slice(&x.data()[(ni * t + ti) * d..][..d]);
+            }
+        }
+        x.recycle();
+
+        // Every step's input projection at once, straight into the gates.
+        let mut gates = scratch::take(rows * g4);
+        matmul_nt_into(&xs, self.w_ih.data(), rows, d, g4, &mut gates);
+
+        let mut hs = scratch::take((t + 1) * nh);
+        let mut cs = scratch::take((t + 1) * nh);
+        let mut tanh_c = scratch::take(rows * h);
+        let mut hw = scratch::take(n * g4);
+        let mut out = Tensor::scratch(&[n, t, h]);
+        let bias = self.bias.data();
 
         for ti in 0..t {
-            // pre = x_t W_ih^T + h_{t-1} W_hh^T + b  -> [N, 4H]
-            let mut pre = xs[ti].matmul_nt(&self.w_ih);
-            pre.axpy(1.0, &hs[ti].matmul_nt(&self.w_hh));
-            pre.add_row_in_place(&self.bias);
-
-            let mut gate = vec![0.0f32; n * 4 * h];
-            let mut c_t = vec![0.0f32; n * h];
-            let mut h_t = vec![0.0f32; n * h];
-            let c_prev = cs[ti].data();
-            let pd = pre.data();
-            for ni in 0..n {
-                for hi in 0..h {
-                    let base = ni * 4 * h;
-                    let ig = sigmoid(pd[base + hi]);
-                    let fg = sigmoid(pd[base + h + hi]);
-                    let gg = pd[base + 2 * h + hi].tanh();
-                    let og = sigmoid(pd[base + 3 * h + hi]);
-                    let c = fg * c_prev[ni * h + hi] + ig * gg;
-                    gate[base + hi] = ig;
-                    gate[base + h + hi] = fg;
-                    gate[base + 2 * h + hi] = gg;
-                    gate[base + 3 * h + hi] = og;
-                    c_t[ni * h + hi] = c;
-                    let hv = og * c.tanh();
-                    h_t[ni * h + hi] = hv;
-                    out[(ni * t + ti) * h + hi] = hv;
+            // pre = (x_t W_ih^T + h_{t-1} W_hh^T) + b  -> [N, 4H]
+            matmul_nt_into(&hs[ti * nh..][..nh], self.w_hh.data(), n, h, g4, &mut hw);
+            let pre = &mut gates[ti * n * g4..(ti + 1) * n * g4];
+            for (row, hw_row) in pre.chunks_exact_mut(g4).zip(hw.chunks_exact(g4)) {
+                for ((p, &v), &b) in row.iter_mut().zip(hw_row).zip(bias) {
+                    *p = (*p + v) + b;
                 }
             }
-            gates.push(Tensor::from_vec(gate, &[n, 4 * h]));
-            cs.push(Tensor::from_vec(c_t, &[n, h]));
-            hs.push(Tensor::from_vec(h_t, &[n, h]));
+
+            let (c_done, c_next) = cs.split_at_mut((ti + 1) * nh);
+            let c_prev = &c_done[ti * nh..];
+            let h_next = &mut hs[(ti + 1) * nh..][..nh];
+            let tc_t = &mut tanh_c[ti * nh..(ti + 1) * nh];
+            let o = out.data_mut();
+            for ni in 0..n {
+                let row = &mut pre[ni * g4..(ni + 1) * g4];
+                for hi in 0..h {
+                    let k = ni * h + hi;
+                    let ig = sigmoid(row[hi]);
+                    let fg = sigmoid(row[h + hi]);
+                    let gg = row[2 * h + hi].tanh();
+                    let og = sigmoid(row[3 * h + hi]);
+                    let c = fg * c_prev[k] + ig * gg;
+                    row[hi] = ig;
+                    row[h + hi] = fg;
+                    row[2 * h + hi] = gg;
+                    row[3 * h + hi] = og;
+                    c_next[k] = c;
+                    let tc = c.tanh();
+                    tc_t[k] = tc;
+                    let hv = og * tc;
+                    h_next[k] = hv;
+                    o[(ni * t + ti) * h + hi] = hv;
+                }
+            }
         }
+        scratch::give(hw);
 
         self.cache = Some(LstmCache {
-            xs,
+            x: xs,
+            gates,
             hs,
             cs,
-            gates,
+            tanh_c,
             n,
             t,
         });
-        Tensor::from_vec(out, &[n, t, h])
+        out
     }
 
     fn backward(&mut self, grad: Tensor) -> Tensor {
-        let cache = self.cache.take().expect("lstm backward before forward");
-        let (n, t, h) = (cache.n, cache.t, self.hidden);
-        assert_eq!(grad.shape(), &[n, t, h], "lstm grad shape mismatch");
-        let d = self.input_size;
-
-        let mut dh_next = Tensor::zeros(&[n, h]);
-        let mut dc_next = Tensor::zeros(&[n, h]);
-        let mut grad_x = vec![0.0f32; n * t * d];
-
-        for ti in (0..t).rev() {
-            // dh_t = grad from output sequence + carry from t+1.
-            let mut dh = dh_next.clone();
-            for ni in 0..n {
-                for hi in 0..h {
-                    dh.data_mut()[ni * h + hi] += grad.data()[(ni * t + ti) * h + hi];
-                }
+        let mut cache = self.backward_steps(grad);
+        let (n, t, d) = (cache.n, cache.t, self.input_size);
+        let g4 = 4 * self.hidden;
+        // dX for every step in one GEMM over the whole dpre buffer, into
+        // the (now dead) time-major input buffer, then back to [N, T, D].
+        matmul_into(&cache.gates, self.w_ih.data(), n * t, g4, d, &mut cache.x);
+        let mut grad_x = scratch::take_reserved(n * t * d);
+        for ni in 0..n {
+            for ti in 0..t {
+                grad_x.extend_from_slice(&cache.x[(ti * n + ni) * d..][..d]);
             }
-            let gate = cache.gates[ti].data();
-            let c_t = cache.cs[ti + 1].data();
-            let c_prev = cache.cs[ti].data();
-
-            let mut dpre = vec![0.0f32; n * 4 * h];
-            let mut dc_prev = vec![0.0f32; n * h];
-            for ni in 0..n {
-                for hi in 0..h {
-                    let base = ni * 4 * h;
-                    let ig = gate[base + hi];
-                    let fg = gate[base + h + hi];
-                    let gg = gate[base + 2 * h + hi];
-                    let og = gate[base + 3 * h + hi];
-                    let tc = c_t[ni * h + hi].tanh();
-                    let dhv = dh.data()[ni * h + hi];
-                    let mut dc = dc_next.data()[ni * h + hi];
-                    dc += dhv * og * (1.0 - tc * tc);
-                    let do_ = dhv * tc;
-                    let di = dc * gg;
-                    let dg = dc * ig;
-                    let df = dc * c_prev[ni * h + hi];
-                    dc_prev[ni * h + hi] = dc * fg;
-                    dpre[base + hi] = di * ig * (1.0 - ig);
-                    dpre[base + h + hi] = df * fg * (1.0 - fg);
-                    dpre[base + 2 * h + hi] = dg * (1.0 - gg * gg);
-                    dpre[base + 3 * h + hi] = do_ * og * (1.0 - og);
-                }
-            }
-            let dpre_t = Tensor::from_vec(dpre, &[n, 4 * h]);
-
-            // Parameter gradients.
-            self.grad_w_ih.axpy(1.0, &dpre_t.matmul_tn(&cache.xs[ti]));
-            self.grad_w_hh.axpy(1.0, &dpre_t.matmul_tn(&cache.hs[ti]));
-            self.grad_bias.axpy(1.0, &dpre_t.sum_rows());
-
-            // Input and recurrent gradients.
-            let dx_t = dpre_t.matmul(&self.w_ih); // [N, D]
-            for ni in 0..n {
-                let dst = &mut grad_x[(ni * t + ti) * d..(ni * t + ti + 1) * d];
-                let src = &dx_t.data()[ni * d..(ni + 1) * d];
-                dst.copy_from_slice(src);
-            }
-            dh_next = dpre_t.matmul(&self.w_hh); // [N, H]
-            dc_next = Tensor::from_vec(dc_prev, &[n, h]);
         }
-
+        cache.recycle();
         Tensor::from_vec(grad_x, &[n, t, d])
+    }
+
+    fn backward_params(&mut self, grad: Tensor) {
+        self.backward_steps(grad).recycle();
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&str, bool, &mut Tensor, &mut Tensor)) {
@@ -250,11 +325,11 @@ impl Layer for LastStep {
         let s = x.shape().to_vec();
         assert_eq!(s.len(), 3, "last-step expects [N, T, H]");
         let (n, t, h) = (s[0], s[1], s[2]);
-        let mut out = vec![0.0f32; n * h];
+        let mut out = scratch::take_reserved(n * h);
         for ni in 0..n {
-            let src = &x.data()[(ni * t + t - 1) * h..(ni * t + t) * h];
-            out[ni * h..(ni + 1) * h].copy_from_slice(src);
+            out.extend_from_slice(&x.data()[(ni * t + t - 1) * h..(ni * t + t) * h]);
         }
+        x.recycle();
         self.cached_shape = Some(s);
         Tensor::from_vec(out, &[n, h])
     }
@@ -265,12 +340,13 @@ impl Layer for LastStep {
             .take()
             .expect("last-step backward before forward");
         let (n, t, h) = (s[0], s[1], s[2]);
-        let mut out = vec![0.0f32; n * t * h];
+        let mut out = Tensor::scratch(&s);
         for ni in 0..n {
-            let dst = &mut out[(ni * t + t - 1) * h..(ni * t + t) * h];
+            let dst = &mut out.data_mut()[(ni * t + t - 1) * h..(ni * t + t) * h];
             dst.copy_from_slice(&grad.data()[ni * h..(ni + 1) * h]);
         }
-        Tensor::from_vec(out, &s)
+        grad.recycle();
+        out
     }
 
     fn kind(&self) -> &'static str {

@@ -11,9 +11,9 @@
 //!   process; idle workers cost nothing but their stacks.
 //! * **[`scope`]** — structured concurrency: spawn borrowing closures, all
 //!   joined before `scope` returns. Panics inside tasks propagate to the
-//!   caller. Nested scopes are supported (a worker running a task that opens
-//!   its own scope helps drain the shared queue instead of blocking, so the
-//!   pool cannot deadlock on nesting).
+//!   caller. A scope opened inside a pool task runs inline: while a thread
+//!   runs a task, [`threads`] reports 1, so nested scopes never queue work
+//!   and cannot deadlock (see "Nesting" below).
 //! * **[`parallel_for`]** — chunked iteration over an index range.
 //! * **[`parallel_for_each`]** — one task per index, for caller-sized work
 //!   units (the packed GEMM's cache panels).
@@ -34,6 +34,18 @@
 //! on the thread count — only *where* each chunk executes varies. Kernels
 //! built on these primitives (see `apf-tensor`) produce bitwise-identical
 //! results at any thread count.
+//!
+//! # Nesting
+//!
+//! Only top-level calls fan out. Inside a pool task every primitive takes
+//! its exact serial path on the task's thread, in spawn order. Callers that
+//! already fill the pool with coarse tasks (one per federated client, say)
+//! then run their inner kernels without pushing one boxed task per GEMM
+//! block onto the shared queue, and a task waiting on its own kernel can
+//! never pick up an unrelated queued task. The trade-off: a scope with
+//! fewer live tasks than pool threads cannot lend its idle threads to those
+//! tasks' kernels. By the determinism contract this changes only where work
+//! runs, never what it computes.
 //!
 //! # Configuration
 //!

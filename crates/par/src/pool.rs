@@ -2,10 +2,15 @@
 //!
 //! Architecture: one process-global injector queue (mutex + condvar) drained
 //! by lazily-spawned workers. A [`scope`] tracks its spawned tasks with an
-//! atomic counter; while waiting for them the *caller also drains the
-//! queue* ("helping"), which is what makes nested scopes deadlock-free — a
-//! worker blocked on an inner scope keeps executing queued tasks, so every
-//! queued task is always runnable by somebody.
+//! atomic counter; while waiting for them the caller also drains the queue
+//! ("helping"), so the thread that opened the scope is one of its workers.
+//!
+//! Nesting rule: while a thread runs a pool job, [`threads`] reports 1, so
+//! a scope opened inside a task runs its spawns inline, in order, on the
+//! task's thread. Only top-level scopes reach the queue. That keeps the
+//! queue free of tiny kernel blocks pushed from inside tasks that already
+//! fill the pool, and a waiting task can never pick up an unrelated queued
+//! task (say a whole client round) and stall its own caller behind it.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -36,6 +41,17 @@ static GLOBAL: OnceLock<Pool> = OnceLock::new();
 thread_local! {
     /// Per-thread parallelism override (0 = none). See [`with_threads`].
     static OVERRIDE: Cell<usize> = const { Cell::new(0) };
+    /// Whether this thread is running a pool job right now. See [`run_job`].
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `job` with the in-job flag set, so scopes it opens run inline.
+/// Restores the previous value afterwards (jobs are panic-wrapped at spawn,
+/// so `job` cannot unwind past this).
+fn run_job(job: Job) {
+    let outer = IN_JOB.with(|f| f.replace(true));
+    job();
+    IN_JOB.with(|f| f.set(outer));
 }
 
 fn default_parallelism() -> usize {
@@ -77,7 +93,7 @@ fn worker_loop(queue: Arc<Queue>) {
             }
         };
         // Jobs are panic-wrapped at spawn; running one cannot unwind here.
-        job();
+        run_job(job);
     }
 }
 
@@ -117,7 +133,7 @@ impl Pool {
                 .expect("pool queue poisoned")
                 .pop_front();
             match job {
-                Some(j) => j(),
+                Some(j) => run_job(j),
                 None => {
                     let guard = state.wait_lock.lock().expect("scope lock poisoned");
                     if state.pending.load(Ordering::Acquire) != 0 {
@@ -134,9 +150,18 @@ impl Pool {
     }
 }
 
-/// The current effective parallelism: the innermost [`with_threads`]
-/// override on this thread, else the global setting.
+/// The current effective parallelism: 1 inside a pool task, else the
+/// innermost [`with_threads`] override on this thread, else the global
+/// setting.
+///
+/// Reporting 1 inside a task is the nesting rule: every primitive then
+/// takes its exact serial path, so a kernel called from a task runs inline
+/// on the task's thread. The trade-off: a scope with fewer live tasks than
+/// pool threads cannot lend its idle threads to those tasks' kernels.
 pub fn threads() -> usize {
+    if IN_JOB.with(Cell::get) {
+        return 1;
+    }
     let o = OVERRIDE.with(Cell::get);
     if o != 0 {
         return o;
@@ -158,9 +183,9 @@ pub fn set_threads(n: usize) {
 /// restoring the previous value afterwards (also on panic).
 ///
 /// The override is thread-local: concurrent tests comparing thread counts
-/// do not race each other. Work dispatched to pool workers from inside `f`
-/// observes the global setting again, which is fine for the kernels built
-/// on this crate — their results are thread-count independent by contract.
+/// do not race each other. Tasks spawned from inside `f` see parallelism 1
+/// (the nesting rule, see [`threads`]), as does `f` itself when it runs
+/// inside a pool task.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     let n = n.max(1);
     pool().ensure_workers(n - 1);
@@ -251,8 +276,10 @@ impl<'s> Scope<'s> {
 /// Semantics:
 /// * effective parallelism 1 → every spawn runs inline, in order (exact
 ///   serial execution, no pool);
-/// * the caller helps drain the queue while waiting, so nesting scopes
-///   (tasks that themselves call `scope`) cannot deadlock;
+/// * a scope opened inside a pool task is such a scope: [`threads`] is 1
+///   there, so nesting cannot deadlock and never queues tasks;
+/// * the caller helps drain the queue while waiting, running queued tasks
+///   (its own or another top-level scope's) instead of blocking;
 /// * panics — from `f` itself or from any spawned task — propagate to the
 ///   caller after all tasks completed; a task panic never leaks a detached
 ///   task.

@@ -4,8 +4,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use apf_par::{map_reduce, par_chunks_mut, parallel_for, scope, with_threads};
+use apf_par::{
+    map_reduce, par_chunks_mut, parallel_for, parallel_for_each, scope, threads, with_threads,
+};
 
 #[test]
 fn nested_scopes_do_not_deadlock() {
@@ -29,6 +32,53 @@ fn nested_scopes_do_not_deadlock() {
                 }
             });
             assert_eq!(total.load(Ordering::Relaxed), 16 * 8, "threads={t}");
+        });
+    }
+}
+
+#[test]
+fn scope_inside_a_task_runs_inline_in_spawn_order() {
+    for t in [1usize, 2, 4] {
+        with_threads(t, || {
+            assert_eq!(threads(), t, "outside any task");
+            // Per outer task: (its thread, what threads() said inside it,
+            // and the (thread, index) of each inner spawn in run order).
+            type Seen = (
+                std::thread::ThreadId,
+                usize,
+                Vec<(std::thread::ThreadId, usize)>,
+            );
+            let seen: Vec<Mutex<Option<Seen>>> = (0..8).map(|_| Mutex::new(None)).collect();
+            parallel_for_each(seen.len(), |i| {
+                let me = std::thread::current().id();
+                let inner_threads = threads();
+                let order = Mutex::new(Vec::new());
+                scope(|s| {
+                    for j in 0..6 {
+                        let order = &order;
+                        s.spawn(move || {
+                            order.lock().unwrap().push((std::thread::current().id(), j));
+                        });
+                    }
+                });
+                // Kernels built on the other primitives take the same path.
+                parallel_for(0..64, 1, |r| {
+                    assert_eq!(r, 0..64, "parallel_for inside a task must not split");
+                });
+                *seen[i].lock().unwrap() = Some((me, inner_threads, order.into_inner().unwrap()));
+            });
+            for (i, slot) in seen.iter().enumerate() {
+                let (task_thread, inner_threads, order) =
+                    slot.lock().unwrap().take().expect("task did not run");
+                assert_eq!(inner_threads, 1, "threads() inside task {i} at t={t}");
+                let idx: Vec<usize> = order.iter().map(|&(_, j)| j).collect();
+                assert_eq!(idx, (0..6).collect::<Vec<_>>(), "spawn order, t={t}");
+                assert!(
+                    order.iter().all(|&(th, _)| th == task_thread),
+                    "inner spawns left task {i}'s thread at t={t}"
+                );
+            }
+            assert_eq!(threads(), t, "unchanged after the tasks");
         });
     }
 }

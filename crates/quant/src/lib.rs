@@ -4,9 +4,8 @@
 //! `APF_Manager`: after APF filters out the frozen scalars, the surviving
 //! values are compressed to IEEE binary16 (`Tensor.half()`), halving wire
 //! size again. This crate provides that binary16 codec ([`f16_encode`] /
-//! [`f16_decode`]) plus two classic gradient quantizers kept as extra
-//! baselines: [`qsgd_encode`] (Alistarh et al.) and [`ternary_encode`]
-//! (TernGrad, Wen et al.).
+//! [`f16_decode`]) and the [`EmaCodec`] that packs dormant clients'
+//! optimizer state.
 //!
 //! # Example
 //!
@@ -21,10 +20,6 @@
 
 mod ema;
 mod f16;
-mod qsgd;
-mod ternary;
 
 pub use ema::{EmaCodec, EmaCodecError};
 pub use f16::{f16_bits_to_f32, f16_decode, f16_encode, f16_roundtrip_in_place, f32_to_f16_bits};
-pub use qsgd::{qsgd_decode, qsgd_encode, QsgdPayload};
-pub use ternary::{ternary_decode, ternary_encode, TernaryPayload};

@@ -1,10 +1,7 @@
 //! Property-based tests for the quantization codecs (on `apf-testkit`).
 
-use apf_quant::{
-    f16_bits_to_f32, f16_decode, f16_encode, f32_to_f16_bits, qsgd_decode, qsgd_encode,
-    ternary_decode, ternary_encode,
-};
-use apf_testkit::{f32s, prop_assert, prop_assert_eq, property, u64s, u8s, usizes, vecs};
+use apf_quant::{f16_bits_to_f32, f16_decode, f16_encode, f32_to_f16_bits};
+use apf_testkit::{f32s, prop_assert, prop_assert_eq, property, vecs};
 
 property! {
     fn f16_roundtrip_error_bound(x in f32s(-60000.0..60000.0)) {
@@ -34,46 +31,5 @@ property! {
         for (a, b) in xs.iter().zip(&back) {
             prop_assert!((a - b).abs() <= a.abs() / 1024.0 + 1e-6);
         }
-    }
-
-    fn qsgd_error_bounded_by_norm(
-        xs in vecs(f32s(-10.0..10.0), 1..64),
-        s in u8s(1..16),
-        seed in u64s(0..100),
-    ) {
-        let p = qsgd_encode(&xs, s, seed);
-        let back = qsgd_decode(&p);
-        let norm = xs.iter().map(|x| x * x).sum::<f32>().sqrt();
-        for (a, b) in xs.iter().zip(&back) {
-            // Each element's quantization error is at most one level: norm/s.
-            prop_assert!((a - b).abs() <= norm / f32::from(s) + 1e-5);
-        }
-    }
-
-    fn ternary_zero_codes_iff_no_signal(
-        xs in vecs(f32s(-10.0..10.0), 1..64),
-        seed in u64s(0..100),
-    ) {
-        let p = ternary_encode(&xs, seed);
-        let back = ternary_decode(&p);
-        for (a, b) in xs.iter().zip(&back) {
-            // Reconstruction magnitude never exceeds the scale.
-            prop_assert!(b.abs() <= p.scale + 1e-6);
-            // Nonzero reconstruction keeps the sign.
-            if *b != 0.0 {
-                prop_assert_eq!(a.signum(), b.signum());
-            }
-        }
-    }
-
-    fn payload_wire_sizes_beat_f32(
-        n in usizes(64..512),
-    ) {
-        let xs = vec![0.5f32; n];
-        let q = qsgd_encode(&xs, 4, 0);
-        let t = ternary_encode(&xs, 0);
-        prop_assert!(q.wire_bytes() < 4 * n as u64);
-        prop_assert!(t.wire_bytes() < 4 * n as u64);
-        prop_assert!(t.wire_bytes() <= q.wire_bytes());
     }
 }

@@ -44,4 +44,4 @@ pub use rng::{derive_seed, seeded_rng, splitmix64, Rng, Sample, SampleRange, Sli
 pub use scratch::ScratchStats;
 pub use slab::SlabStats;
 pub use stats::{l1_norm, l2_norm, mean, percentile, variance};
-pub use tensor::Tensor;
+pub use tensor::{matmul_into, matmul_nt_into, matmul_tn_into, Tensor};

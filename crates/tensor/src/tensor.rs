@@ -47,12 +47,14 @@ pub(crate) fn rows_per_block(rows: usize, row_cost: usize) -> usize {
     }
 }
 
-/// Dense row-blocked matmul kernel: accumulates `a[i0+ri, :] x b` into each
-/// row of `out_block`. Per-element accumulation order (ascending `p`) is
-/// the same regardless of blocking, so any block split is bitwise identical.
-fn mm_block(a: &[f32], b: &[f32], out_block: &mut [f32], i0: usize, k: usize, n: usize) {
-    for (ri, o_row) in out_block.chunks_mut(n).enumerate() {
-        let a_row = &a[(i0 + ri) * k..(i0 + ri + 1) * k];
+/// Naive `[m,k] x [k,n]` reference kernel (ikj loop order): accumulates
+/// every element ascending in `k` into a zeroed `out`.
+fn reference_nn(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    for (i, o_row) in out.chunks_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
         for (p, &av) in a_row.iter().enumerate() {
             let b_row = &b[p * n..(p + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row) {
@@ -62,37 +64,137 @@ fn mm_block(a: &[f32], b: &[f32], out_block: &mut [f32], i0: usize, k: usize, n:
     }
 }
 
+/// Naive `[k,m]^T x [k,n]` reference kernel: strided column reads of `a`,
+/// ascending-`k` accumulation into a zeroed `out`.
+fn reference_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    for (i, o_row) in out.chunks_mut(n).enumerate() {
+        for p in 0..k {
+            let av = a[p * m + i];
+            let b_row = &b[p * n..(p + 1) * n];
+            for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Naive `[m,k] x [n,k]^T` reference kernel: independent ascending-`k` dot
+/// products, each written to `out`.
+fn reference_nt(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    if n == 0 {
+        return;
+    }
+    for (i, o_row) in out.chunks_mut(n).enumerate() {
+        let a_row = &a[i * k..(i + 1) * k];
+        for (j, o) in o_row.iter_mut().enumerate() {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0f32;
+            for (&av, &bv) in a_row.iter().zip(b_row) {
+                acc += av * bv;
+            }
+            *o = acc;
+        }
+    }
+}
+
 /// Debug-build check that a packed result is bitwise identical to the naive
-/// reference, capped at small problem sizes so debug test runs stay fast
-/// (larger shapes are covered explicitly by the property tests).
+/// reference (`reference` fills a zeroed buffer), capped at small problem
+/// sizes so debug test runs stay fast (larger shapes are covered explicitly
+/// by the property tests).
 #[cfg(debug_assertions)]
 fn debug_assert_matches_reference(
-    got: &Tensor,
-    reference: impl FnOnce() -> Tensor,
+    got: &[f32],
+    reference: impl FnOnce(&mut [f32]),
     ops: usize,
     what: &str,
 ) {
     if ops > gemm::REF_CHECK_OPS_MAX {
         return;
     }
-    let want = reference();
-    for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+    let mut want = scratch::take(got.len());
+    reference(&mut want);
+    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(
             g.to_bits(),
             w.to_bits(),
             "{what}: packed kernel diverged from reference at element {i}: {g} vs {w}"
         );
     }
-    want.recycle();
+    scratch::give(want);
 }
 
 #[cfg(not(debug_assertions))]
 fn debug_assert_matches_reference(
-    _got: &Tensor,
-    _reference: impl FnOnce() -> Tensor,
+    _got: &[f32],
+    _reference: impl FnOnce(&mut [f32]),
     _ops: usize,
     _what: &str,
 ) {
+}
+
+fn assert_gemm_lens(what: &str, a: &[f32], b: &[f32], out: &[f32], m: usize, k: usize, n: usize) {
+    assert_eq!(a.len(), m * k, "{what}: lhs length");
+    assert_eq!(b.len(), k * n, "{what}: rhs length");
+    assert_eq!(out.len(), m * n, "{what}: output length");
+}
+
+/// `out = a x b` on row-major slices: `a` is `[m,k]`, `b` is `[k,n]`, and
+/// `out` (`[m,n]`) is overwritten. The kernel behind [`Tensor::matmul`],
+/// for callers whose operands are views into larger buffers (one timestep
+/// of a sequence, say); bitwise identical to it.
+///
+/// # Panics
+/// Panics if a slice length does not match its shape.
+pub fn matmul_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_gemm_lens("matmul_into", a, b, out, m, k, n);
+    if m * k * n < gemm::PACK_OPS_MIN {
+        out.fill(0.0);
+        reference_nn(a, b, k, n, out);
+        return;
+    }
+    gemm::gemm_nn(a, b, m, k, n, out);
+    debug_assert_matches_reference(out, |w| reference_nn(a, b, k, n, w), m * k * n, "matmul");
+}
+
+/// `out = a^T x b` on row-major slices: `a` is stored `[k,m]`, `b` is
+/// `[k,n]`, and `out` (`[m,n]`) is overwritten. The kernel behind
+/// [`Tensor::matmul_tn`]; bitwise identical to it.
+///
+/// # Panics
+/// Panics if a slice length does not match its shape.
+pub fn matmul_tn_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_gemm_lens("matmul_tn_into", a, b, out, m, k, n);
+    if m * k * n < gemm::PACK_OPS_MIN {
+        out.fill(0.0);
+        reference_tn(a, b, m, k, n, out);
+        return;
+    }
+    gemm::gemm_tn(a, b, m, k, n, out);
+    debug_assert_matches_reference(
+        out,
+        |w| reference_tn(a, b, m, k, n, w),
+        m * k * n,
+        "matmul_tn",
+    );
+}
+
+/// `out = a x b^T` on row-major slices: `a` is `[m,k]`, `b` is stored
+/// `[n,k]`, and `out` (`[m,n]`) is overwritten. The kernel behind
+/// [`Tensor::matmul_nt`]; bitwise identical to it.
+///
+/// # Panics
+/// Panics if a slice length does not match its shape.
+pub fn matmul_nt_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_gemm_lens("matmul_nt_into", a, b, out, m, k, n);
+    if m * k * n < gemm::PACK_OPS_MIN {
+        reference_nt(a, b, k, n, out);
+        return;
+    }
+    gemm::gemm_nt(a, b, m, k, n, out);
+    debug_assert_matches_reference(out, |w| reference_nt(a, b, k, n, w), m * k * n, "matmul_nt");
 }
 
 /// An owned, row-major, dense `f32` tensor of arbitrary rank.
@@ -477,22 +579,14 @@ impl Tensor {
     /// traffic would dominate). Both paths accumulate every output element
     /// ascending in `k` from 0.0, so they are bitwise identical to each
     /// other — and, in debug builds, small packed calls are asserted against
-    /// the reference.
+    /// the reference. [`matmul_into`] is the same kernel on slices.
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or inner dimensions mismatch.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_reference(other);
-        }
+        let (m, k, n) = self.nn_dims(other);
         let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_nn(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(&out, || self.matmul_reference(other), m * k * n, "matmul");
+        matmul_into(&self.data, &other.data, m, k, n, &mut out.data);
         out
     }
 
@@ -503,16 +597,19 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or inner dimensions mismatch.
     pub fn matmul_reference(&self, other: &Tensor) -> Tensor {
+        let (m, k, n) = self.nn_dims(other);
+        let mut out = Tensor::scratch(&[m, n]);
+        reference_nn(&self.data, &other.data, k, n, &mut out.data);
+        out
+    }
+
+    fn nn_dims(&self, other: &Tensor) -> (usize, usize, usize) {
         assert_eq!(self.shape.len(), 2, "matmul lhs must be rank 2");
         assert_eq!(other.shape.len(), 2, "matmul rhs must be rank 2");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n > 0 {
-            mm_block(&self.data, &other.data, &mut out.data, 0, k, n);
-        }
-        out
+        (m, k, n)
     }
 
     /// `self^T x other`: `[k,m]^T x [k,n] -> [m,n]`, without materializing the
@@ -520,26 +617,14 @@ impl Tensor {
     ///
     /// Packed above the size threshold (the packing step absorbs the strided
     /// column reads), naive reference below; bitwise identical either way.
+    /// [`matmul_tn_into`] is the same kernel on slices.
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_tn lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_tn rhs must be rank 2");
-        let (k, m) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_tn shared dimension mismatch");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_tn_reference(other);
-        }
+        let (m, k, n) = self.tn_dims(other);
         let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_tn(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(
-            &out,
-            || self.matmul_tn_reference(other),
-            m * k * n,
-            "matmul_tn",
-        );
+        matmul_tn_into(&self.data, &other.data, m, k, n, &mut out.data);
         out
     }
 
@@ -549,54 +634,34 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_tn_reference(&self, other: &Tensor) -> Tensor {
+        let (m, k, n) = self.tn_dims(other);
+        let mut out = Tensor::scratch(&[m, n]);
+        reference_tn(&self.data, &other.data, m, k, n, &mut out.data);
+        out
+    }
+
+    fn tn_dims(&self, other: &Tensor) -> (usize, usize, usize) {
         assert_eq!(self.shape.len(), 2, "matmul_tn lhs must be rank 2");
         assert_eq!(other.shape.len(), 2, "matmul_tn rhs must be rank 2");
         let (k, m) = (self.shape[0], self.shape[1]);
         let (k2, n) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_tn shared dimension mismatch");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n == 0 {
-            return out;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        for (i, o_row) in out.data.chunks_mut(n).enumerate() {
-            for p in 0..k {
-                let av = a[p * m + i];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
+        (m, k, n)
     }
 
     /// `self x other^T`: `[m,k] x [n,k]^T -> [m,n]`, without materializing the
     /// transpose.
     ///
     /// Packed above the size threshold, naive dot-product reference below;
-    /// bitwise identical either way.
+    /// bitwise identical either way. [`matmul_nt_into`] is the same kernel
+    /// on slices.
     ///
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be rank 2");
-        assert_eq!(other.shape.len(), 2, "matmul_nt rhs must be rank 2");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul_nt shared dimension mismatch");
-        if m * k * n < gemm::PACK_OPS_MIN {
-            return self.matmul_nt_reference(other);
-        }
+        let (m, k, n) = self.nt_dims(other);
         let mut out = Tensor::scratch(&[m, n]);
-        gemm::gemm_nt(&self.data, &other.data, m, k, n, &mut out.data);
-        debug_assert_matches_reference(
-            &out,
-            || self.matmul_nt_reference(other),
-            m * k * n,
-            "matmul_nt",
-        );
+        matmul_nt_into(&self.data, &other.data, m, k, n, &mut out.data);
         out
     }
 
@@ -606,29 +671,19 @@ impl Tensor {
     /// # Panics
     /// Panics if either tensor is not rank 2 or the shared dimension differs.
     pub fn matmul_nt_reference(&self, other: &Tensor) -> Tensor {
+        let (m, k, n) = self.nt_dims(other);
+        let mut out = Tensor::scratch(&[m, n]);
+        reference_nt(&self.data, &other.data, k, n, &mut out.data);
+        out
+    }
+
+    fn nt_dims(&self, other: &Tensor) -> (usize, usize, usize) {
         assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be rank 2");
         assert_eq!(other.shape.len(), 2, "matmul_nt rhs must be rank 2");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (n, k2) = (other.shape[0], other.shape[1]);
         assert_eq!(k, k2, "matmul_nt shared dimension mismatch");
-        let mut out = Tensor::scratch(&[m, n]);
-        if n == 0 {
-            return out;
-        }
-        let a = &self.data;
-        let b = &other.data;
-        for (i, o_row) in out.data.chunks_mut(n).enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in a_row.iter().zip(b_row) {
-                    acc += av * bv;
-                }
-                *o = acc;
-            }
-        }
-        out
+        (m, k, n)
     }
 
     /// Transpose of a rank-2 tensor.
