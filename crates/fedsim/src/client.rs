@@ -5,6 +5,28 @@ use apf_nn::Trainer;
 use apf_tensor::Rng;
 use apf_tensor::{derive_seed, seeded_rng};
 
+/// Runs `f(index, item)` for every item — one task per client's state —
+/// across the `apf-par` pool when `parallel` is set. Each call touches only
+/// its own item, so the outcome is bitwise identical either way.
+pub(crate) fn for_each_client<T: Send>(
+    parallel: bool,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T) + Sync,
+) {
+    if parallel && items.len() > 1 {
+        apf_par::scope(|s| {
+            let f = &f;
+            for (i, item) in items.iter_mut().enumerate() {
+                s.spawn(move || f(i, item));
+            }
+        });
+    } else {
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+    }
+}
+
 /// One edge client in the simulation.
 ///
 /// Owns a [`Trainer`] (model + optimizer + schedule), a private data shard,

@@ -35,6 +35,7 @@
 //! println!("best accuracy {}", log.best_accuracy());
 //! ```
 
+mod book;
 mod client;
 mod extra;
 pub mod json;
@@ -47,6 +48,7 @@ mod spec;
 mod strategy;
 mod trajectory;
 
+pub use book::{append_ledger, finish_run, EvalSetup, RoundBook, RoundTally};
 pub use client::Client;
 pub use extra::{DpGaussian, LayerFreeze, TopK};
 pub use ledger::{fnv1a64, load_ledger, peak_resident_bytes, LedgerRecord};
@@ -54,6 +56,6 @@ pub use metrics::{ExperimentLog, RoundRecord};
 pub use network::NetworkModel;
 pub use population::{ClientRegistry, PopulationConfig, PopulationData, PopulationRunner};
 pub use runner::{FlConfig, FlRunner, FlRunnerBuilder, OptimizerKind};
-pub use spec::{EvalSetup, PartitionKind, RunSpec, SpecError, SpecStrategy};
+pub use spec::{PartitionKind, RunSpec, SpecError, SpecStrategy};
 pub use strategy::{ApfStrategy, Cmfl, FullSync, Gaia, PartialSync, RoundComm, SyncStrategy};
 pub use trajectory::{Trajectory, TrajectoryRound};

@@ -59,8 +59,9 @@ use apf_quant::{f16_roundtrip_in_place, EmaCodec};
 use apf_tensor::{derive_seed, seeded_rng, slab, Tensor};
 use apf_trace::{event, span, Level};
 
-use crate::client::Client;
-use crate::ledger::{fnv1a64, peak_resident_bytes, LedgerRecord};
+use crate::book::{finish_run, RoundBook, RoundTally};
+use crate::client::{for_each_client, Client};
+use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
 use crate::network::NetworkModel;
 use crate::runner::{config_canonical, FlConfig, OptimizerKind};
@@ -271,24 +272,6 @@ struct Shell {
     blob: Option<Box<[u8]>>,
 }
 
-/// Runs `f(slot, shell)` for every shell, across the `apf-par` pool when
-/// `parallel` is set. Each call touches only its own shell, so the outcome
-/// is bitwise identical either way.
-fn for_each_shell(parallel: bool, shells: &mut [Shell], f: impl Fn(usize, &mut Shell) + Sync) {
-    if parallel && shells.len() > 1 {
-        apf_par::scope(|s| {
-            let f = &f;
-            for (slot, shell) in shells.iter_mut().enumerate() {
-                s.spawn(move || f(slot, shell));
-            }
-        });
-    } else {
-        for (slot, shell) in shells.iter_mut().enumerate() {
-            f(slot, shell);
-        }
-    }
-}
-
 /// Calls `f(values, start, end)` for every unfrozen run of `mask`, cut at
 /// parameter-tensor edges: `values` is the run's slice of the client's
 /// live parameter tensor, `start..end` its span in the flat vector.
@@ -324,14 +307,8 @@ pub struct PopulationRunner {
     registry: ClientRegistry,
     global: Vec<f32>,
     rep: Vec<f32>,
-    eval_model: Sequential,
-    test: Dataset,
     network: NetworkModel,
-    log: ExperimentLog,
-    cum_bytes: u64,
-    cum_secs: f64,
-    best_accuracy: f32,
-    initial_model_bytes: u64,
+    book: RoundBook,
     model_name: String,
     strategy_label: String,
     config_digest: u64,
@@ -394,7 +371,7 @@ impl PopulationRunner {
             model_scalars = init.len(),
             dormant = cfg.codec.name(),
         );
-        let initial_model_bytes = init.len() as u64 * 4;
+        let book = RoundBook::new("fedsim.pop", &name, &cfg.fl, eval_model, test);
         PopulationRunner {
             cfg,
             data,
@@ -406,14 +383,8 @@ impl PopulationRunner {
             registry: ClientRegistry::new(),
             rep: init.clone(),
             global: init,
-            eval_model,
-            test,
             network: NetworkModel::default(),
-            log: ExperimentLog::new(&name),
-            cum_bytes: 0,
-            cum_secs: 0.0,
-            best_accuracy: 0.0,
-            initial_model_bytes,
+            book,
             model_name,
             strategy_label,
             config_digest,
@@ -421,15 +392,9 @@ impl PopulationRunner {
         }
     }
 
-    /// Appends a [`LedgerRecord`] when [`PopulationRunner::run`] completes
-    /// (also enabled by `APF_LEDGER_FILE`; this method wins).
-    pub fn ledger(&mut self, path: impl Into<PathBuf>) {
-        self.ledger_path = Some(path.into());
-    }
-
     /// The metric log so far.
     pub fn log(&self) -> &ExperimentLog {
-        &self.log
+        self.book.log()
     }
 
     /// The current global flat model.
@@ -518,7 +483,7 @@ impl PopulationRunner {
         let (data, registry, global) = (&self.data, &self.registry, &self.global[..]);
         let seed = self.cfg.fl.seed;
         let shells = &mut self.shells[..ids.len()];
-        for_each_shell(self.cfg.fl.parallel, shells, |slot, shell| {
+        for_each_client(self.cfg.fl.parallel, shells, |slot, shell| {
             let id = ids[slot];
             if shell.bound != id {
                 shell.client.refill_data(|x, y| data.fill_shard(id, x, y));
@@ -542,7 +507,7 @@ impl PopulationRunner {
     fn train_block(&mut self, round: u64, count: usize) {
         let local_iters = self.cfg.fl.local_iters;
         let mgr = &self.mgr;
-        for_each_shell(
+        for_each_client(
             self.cfg.fl.parallel,
             &mut self.shells[..count],
             |_, shell| {
@@ -564,7 +529,7 @@ impl PopulationRunner {
     fn reduce_block(&mut self, mask: &FreezeMask, agg: &mut [f32], losses: &mut [f32]) -> u64 {
         let (codec, wire_f16) = (self.cfg.codec, self.cfg.wire_f16);
         let shells = &mut self.shells[..losses.len()];
-        for_each_shell(self.cfg.fl.parallel, shells, |_, shell| {
+        for_each_client(self.cfg.fl.parallel, shells, |_, shell| {
             let trainer = shell.client.trainer();
             shell.blob = Some(pack_dormant(
                 shell.client.rng_state(),
@@ -644,120 +609,52 @@ impl PopulationRunner {
         self.mgr_dormant_bytes = dormant.len_bytes();
         let restored = dormant.decode(self.cfg.apf).expect("self-encoded blob");
         self.mgr = ApfManager::restore(restored, Box::new(Aimd::default()));
-        // Communication accounting: every cohort client moves the masked
-        // frame both ways; first-timers additionally pull the initial model
-        // (FlRunner's round-0 broadcast, amortized over late joiners).
-        let cohort_n = cohort.len() as u64;
-        let bytes_up = report.bytes_up * cohort_n;
-        let bytes_down = report.bytes_down * cohort_n;
-        if new_clients > 0 {
-            self.cum_bytes += self.initial_model_bytes * new_clients;
-            self.cum_secs += self.network.transfer_secs(0, self.initial_model_bytes);
-        }
-        let comm_secs = self
-            .network
-            .transfer_secs(report.bytes_up, report.bytes_down);
-        self.cum_bytes += bytes_up + bytes_down;
-        self.cum_secs += compute_secs + comm_secs;
-        let accuracy = if round.is_multiple_of(self.cfg.fl.eval_every as u64)
-            || round + 1 == self.cfg.fl.rounds as u64
-        {
-            let _s = span!(Level::Info, target: "fedsim.pop", "eval", round = round);
-            self.eval_model.load_flat(&self.global);
-            let acc = apf_nn::evaluate(
-                &mut self.eval_model,
-                self.test.inputs(),
-                self.test.labels(),
-                self.cfg.fl.eval_batch,
-            );
-            self.best_accuracy = self.best_accuracy.max(acc);
-            Some(acc)
-        } else {
-            None
-        };
-        let record = RoundRecord {
-            round,
-            loss: losses.iter().sum::<f32>() / cohort.len().max(1) as f32,
-            accuracy,
-            best_accuracy: self.best_accuracy,
-            frozen_ratio: report.frozen_ratio(),
-            bytes_up,
-            bytes_down,
-            cum_bytes: self.cum_bytes,
-            compute_secs,
-            comm_secs,
-            cum_secs: self.cum_secs,
-        };
-        self.log.push(record);
-        let (slab_hits, slab_misses, slab_alloc, slab_resident) = slab::global_stats();
-        apf_trace::metrics::counter("fedsim.bytes_up").add(record.bytes_up);
-        apf_trace::metrics::counter("fedsim.bytes_down").add(record.bytes_down);
-        apf_trace::metrics::gauge("slab.hits").set(slab_hits as f64);
-        apf_trace::metrics::gauge("slab.misses").set(slab_misses as f64);
-        apf_trace::metrics::gauge("slab.alloc_bytes").set(slab_alloc as f64);
-        apf_trace::metrics::gauge("slab.resident_bytes").set(slab_resident as f64);
         apf_trace::metrics::gauge("population.registry_clients").set(self.registry.len() as f64);
         apf_trace::metrics::gauge("population.registry_bytes")
             .set(self.registry.resident_bytes() as f64);
-        event!(Level::Info, target: "fedsim.pop", "round_complete",
-            round = round,
-            cohort = cohort_n,
-            new_clients = new_clients,
-            loss = record.loss,
-            frozen_ratio = record.frozen_ratio,
-            bytes_up = record.bytes_up,
-            registry_clients = self.registry.len(),
-            slab_misses = slab_misses,
-        );
-        record
+        // Communication accounting: every cohort client moves the masked
+        // frame both ways; first-timers additionally pull the initial model
+        // (FlRunner's round-0 broadcast, amortized over late joiners).
+        self.book
+            .charge_joiners(new_clients, |b| self.network.transfer_secs(0, b));
+        let tally = RoundTally {
+            loss: losses.iter().sum::<f32>() / cohort.len().max(1) as f32,
+            frozen_ratio: report.frozen_ratio(),
+            bytes_up: report.bytes_up * cohort.len() as u64,
+            bytes_down: report.bytes_down * cohort.len() as u64,
+            compute_secs,
+            comm_secs: self
+                .network
+                .transfer_secs(report.bytes_up, report.bytes_down),
+        };
+        self.book.close_round(round, tally, &self.global)
     }
 
-    /// Runs all configured rounds; appends a ledger record when configured.
+    /// Runs all configured rounds; appends a ledger record when
+    /// `APF_LEDGER_FILE` names a file.
     pub fn run(&mut self) -> &ExperimentLog {
         let t0 = Instant::now();
         for r in 0..self.cfg.fl.rounds as u64 {
             self.run_round(r);
         }
         let wall_secs = t0.elapsed().as_secs_f64();
-        apf_trace::metrics::emit();
-        apf_trace::flush();
-        if let Some(path) = self.ledger_path.clone() {
-            let mut record = LedgerRecord::from_log(
-                &self.log,
-                &self.model_name,
-                &self.strategy_label,
-                self.config_digest,
-                wall_secs,
-            );
-            record
-                .metrics
-                .insert("registered".to_owned(), self.cfg.registered as f64);
-            record
-                .metrics
-                .insert("cohort_size".to_owned(), self.cfg.cohort as f64);
-            record.metrics.insert(
-                "registry_bytes".to_owned(),
-                self.registry.resident_bytes() as f64,
-            );
-            record.metrics.insert(
-                "steady_resident_bytes".to_owned(),
-                self.steady_resident_bytes() as f64,
-            );
-            if let Some(peak) = peak_resident_bytes() {
-                record
-                    .metrics
-                    .insert("peak_resident_bytes".to_owned(), peak as f64);
-            }
-            match record.append_to(&path) {
-                Ok(()) => event!(Level::Info, target: "fedsim.pop", "ledger_appended",
-                    path = path.display().to_string(),
-                    digest = record.config_digest.as_str()),
-                Err(e) => event!(Level::Warn, target: "fedsim.pop", "ledger_write_failed",
-                    path = path.display().to_string(),
-                    error = e.to_string()),
-            }
-        }
-        &self.log
+        let extra = [
+            ("registered", self.cfg.registered as f64),
+            ("cohort_size", self.cfg.cohort as f64),
+            ("registry_bytes", self.registry.resident_bytes() as f64),
+            ("steady_resident_bytes", self.steady_resident_bytes() as f64),
+        ];
+        // A failed ledger write is reported as an event; the run stands.
+        let _ = finish_run(
+            self.ledger_path.as_deref(),
+            self.book.log(),
+            &self.model_name,
+            &self.strategy_label,
+            self.config_digest,
+            wall_secs,
+            &extra,
+        );
+        self.book.log()
     }
 }
 

@@ -11,8 +11,9 @@ use apf_obs::{ObsServer, ObsState, RunInfo};
 use apf_tensor::derive_seed;
 use apf_trace::{event, span, Level};
 
-use crate::client::Client;
-use crate::ledger::{fnv1a64, LedgerRecord};
+use crate::book::{finish_run, RoundBook, RoundTally};
+use crate::client::{for_each_client, Client};
+use crate::ledger::fnv1a64;
 use crate::metrics::{ExperimentLog, RoundRecord};
 use crate::network::NetworkModel;
 use crate::strategy::{FullSync, SyncStrategy};
@@ -241,7 +242,7 @@ impl FlRunnerBuilder {
         self
     }
 
-    /// Appends a [`LedgerRecord`] for the run to the JSONL ledger at `path`
+    /// Appends a [`crate::LedgerRecord`] for the run to the JSONL ledger at `path`
     /// when [`FlRunner::run`] completes (conventionally
     /// `results/ledger.jsonl`). Also enabled by `APF_LEDGER_FILE`; this
     /// method wins over the environment.
@@ -315,7 +316,6 @@ impl FlRunnerBuilder {
         let name = self
             .name
             .unwrap_or_else(|| format!("{}/{}", eval_model.name(), strategy.name()));
-        let model_bytes = init.len() as u64 * 4;
         event!(Level::Info, target: "fedsim", "run_configured",
             name = name.as_str(),
             clients = clients.len(),
@@ -380,19 +380,14 @@ impl FlRunnerBuilder {
         } else {
             apf_prof::init_from_env()
         };
+        let book = RoundBook::new("fedsim", &name, &cfg, eval_model, test);
         FlRunner {
             clients,
             strategy,
             cfg,
             global: init,
-            eval_model,
-            test,
             network: self.network,
-            log: ExperimentLog::new(&name),
-            cum_bytes: 0,
-            cum_secs: 0.0,
-            best_accuracy: 0.0,
-            initial_model_bytes: model_bytes,
+            book,
             model_name,
             config_digest,
             obs,
@@ -436,14 +431,8 @@ pub struct FlRunner {
     strategy: Box<dyn SyncStrategy>,
     cfg: FlConfig,
     global: Vec<f32>,
-    eval_model: Sequential,
-    test: Dataset,
     network: NetworkModel,
-    log: ExperimentLog,
-    cum_bytes: u64,
-    cum_secs: f64,
-    best_accuracy: f32,
-    initial_model_bytes: u64,
+    book: RoundBook,
     model_name: String,
     config_digest: u64,
     obs: Option<ObsServer>,
@@ -456,7 +445,7 @@ pub struct FlRunner {
 impl std::fmt::Debug for FlRunner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlRunner")
-            .field("name", &self.log.name)
+            .field("name", &self.book.log().name)
             .field("clients", &self.clients.len())
             .finish()
     }
@@ -512,7 +501,7 @@ impl FlRunner {
 
     /// The metric log so far.
     pub fn log(&self) -> &ExperimentLog {
-        &self.log
+        self.book.log()
     }
 
     /// The current global flat model.
@@ -541,28 +530,19 @@ impl FlRunner {
         self.obs.as_ref().map(ObsServer::state)
     }
 
-    /// Evaluates the current global model on the held-out set.
-    pub fn evaluate_global(&mut self) -> f32 {
-        self.eval_model.load_flat(&self.global);
-        apf_nn::evaluate(
-            &mut self.eval_model,
-            self.test.inputs(),
-            self.test.labels(),
-            self.cfg.eval_batch,
-        )
-    }
-
     /// Runs one communication round and returns its record.
     pub fn run_round(&mut self, round: u64) -> RoundRecord {
         let _round_span = span!(Level::Info, target: "fedsim", "round", round = round);
         if round == 0 {
             // Initial model distribution: every client pulls the full model.
-            self.cum_bytes += self.initial_model_bytes * self.clients.len() as u64;
-            self.cum_secs += self.network.transfer_secs(0, self.initial_model_bytes);
+            let joiners = self.clients.len() as u64;
+            let bytes = self
+                .book
+                .charge_joiners(joiners, |b| self.network.transfer_secs(0, b));
             event!(Level::Debug, target: "fedsim.comm", "transfer",
                 round = round,
                 phase = "init_broadcast",
-                bytes_down = self.initial_model_bytes * self.clients.len() as u64,
+                bytes_down = bytes,
                 bytes_up = 0u64,
             );
         }
@@ -589,49 +569,23 @@ impl FlRunner {
         let local_span = span!(Level::Info, target: "fedsim", "local_train",
             round = round,
             participants = participating.iter().filter(|&&p| p).count());
-        let mut losses = vec![0.0f32; self.clients.len()];
-        let mut times = vec![0.0f64; self.clients.len()];
-        if self.cfg.parallel && self.clients.len() > 1 {
-            // One pool task per participating client, each writing into its
-            // own (loss, time) slot; the pool bounds concurrency at
-            // `apf_par::threads()` instead of one OS thread per client.
-            // Aggregation below reads the slots in client-index order, so
-            // results do not depend on completion order.
-            apf_par::scope(|s| {
-                let participating = &participating;
-                for (((i, client), loss_slot), time_slot) in self
-                    .clients
-                    .iter_mut()
-                    .enumerate()
-                    .zip(losses.iter_mut())
-                    .zip(times.iter_mut())
-                {
-                    s.spawn(move || {
-                        if !participating[i] {
-                            return;
-                        }
-                        let t0 = Instant::now();
-                        let hook = move |p: &mut [f32]| {
-                            strategy.post_local_iteration(round, i, p);
-                        };
-                        *loss_slot = client.local_round(local_iters, &hook);
-                        *time_slot = t0.elapsed().as_secs_f64();
-                    });
-                }
-            });
-        } else {
-            for (i, client) in self.clients.iter_mut().enumerate() {
-                if !participating[i] {
-                    continue;
-                }
+        // One task per client, each writing only its own (loss, time) slot;
+        // everything below reads the slots in client-index order, so
+        // results do not depend on completion order.
+        let mut slots: Vec<(&mut Client, f32, f64)> =
+            self.clients.iter_mut().map(|c| (c, 0.0, 0.0)).collect();
+        for_each_client(self.cfg.parallel, &mut slots, |i, (client, loss, secs)| {
+            if participating[i] {
                 let t0 = Instant::now();
-                let hook = move |p: &mut [f32]| {
-                    strategy.post_local_iteration(round, i, p);
-                };
-                losses[i] = client.local_round(local_iters, &hook);
-                times[i] = t0.elapsed().as_secs_f64();
+                let hook = |p: &mut [f32]| strategy.post_local_iteration(round, i, p);
+                *loss = client.local_round(local_iters, &hook);
+                *secs = t0.elapsed().as_secs_f64();
             }
-        }
+        });
+        let (losses, times): (Vec<f32>, Vec<f64>) = slots
+            .into_iter()
+            .map(|(_, loss, secs)| (loss, secs))
+            .unzip();
         drop(local_span);
         let compute_secs = times.iter().cloned().fold(0.0, f64::max);
         if apf_trace::enabled(Level::Debug) {
@@ -679,8 +633,6 @@ impl FlRunner {
         let comm_secs = self
             .network
             .transfer_secs(comm.max_client_up, comm.max_client_down);
-        self.cum_bytes += comm.bytes_up + comm.bytes_down;
-        self.cum_secs += compute_secs + comm_secs;
         event!(Level::Debug, target: "fedsim.comm", "transfer",
             round = round,
             phase = "sync",
@@ -691,56 +643,22 @@ impl FlRunner {
             comm_secs = comm_secs,
             compute_secs = compute_secs,
         );
-        apf_trace::metrics::counter("fedsim.bytes_up").add(comm.bytes_up);
-        apf_trace::metrics::counter("fedsim.bytes_down").add(comm.bytes_down);
         drop(sync_span);
-        let accuracy = if round.is_multiple_of(self.cfg.eval_every as u64)
-            || round + 1 == self.cfg.rounds as u64
-        {
-            let _s = span!(Level::Info, target: "fedsim", "eval", round = round);
-            let acc = self.evaluate_global();
-            self.best_accuracy = self.best_accuracy.max(acc);
-            Some(acc)
-        } else {
-            None
-        };
-        let record = RoundRecord {
-            round,
-            loss: {
-                let k = participating.iter().filter(|&&p| p).count().max(1);
-                losses.iter().sum::<f32>() / k as f32
-            },
-            accuracy,
-            best_accuracy: self.best_accuracy,
+        let k = participating.iter().filter(|&&p| p).count().max(1);
+        let tally = RoundTally {
+            loss: losses.iter().sum::<f32>() / k as f32,
             frozen_ratio: comm.frozen_ratio,
             bytes_up: comm.bytes_up,
             bytes_down: comm.bytes_down,
-            cum_bytes: self.cum_bytes,
             compute_secs,
             comm_secs,
-            cum_secs: self.cum_secs,
         };
-        self.log.push(record);
-        apf_trace::metrics::counter("fedsim.rounds").inc();
-        apf_trace::metrics::gauge("fedsim.round").set(round as f64);
-        apf_trace::metrics::gauge("fedsim.loss").set(f64::from(record.loss));
-        apf_trace::metrics::gauge("fedsim.frozen_ratio").set(f64::from(record.frozen_ratio));
-        apf_trace::metrics::gauge("fedsim.best_accuracy").set(f64::from(record.best_accuracy));
-        // Scratch-pool health at the round boundary: a healthy steady state
-        // holds misses/alloc_bytes flat after the warm-up round.
-        let (scratch_hits, scratch_misses, scratch_bytes) = apf_tensor::scratch::global_stats();
-        apf_trace::metrics::gauge("scratch.hits").set(scratch_hits as f64);
-        apf_trace::metrics::gauge("scratch.misses").set(scratch_misses as f64);
-        apf_trace::metrics::gauge("scratch.alloc_bytes").set(scratch_bytes as f64);
-        // Slab-store health, same contract as the scratch pool: steady state
-        // means misses and alloc_bytes flat, resident_bytes bounded.
-        let (slab_hits, slab_misses, slab_alloc, slab_resident) = apf_tensor::slab::global_stats();
-        apf_trace::metrics::gauge("slab.hits").set(slab_hits as f64);
-        apf_trace::metrics::gauge("slab.misses").set(slab_misses as f64);
-        apf_trace::metrics::gauge("slab.alloc_bytes").set(slab_alloc as f64);
-        apf_trace::metrics::gauge("slab.resident_bytes").set(slab_resident as f64);
+        let record = self.book.close_round(round, tally, &self.global);
         if let Some(obs) = &self.obs {
             // Round-boundary sample for /snapshot and /series.
+            let (scratch_hits, scratch_misses, scratch_bytes) = apf_tensor::scratch::global_stats();
+            let (slab_hits, slab_misses, slab_alloc, slab_resident) =
+                apf_tensor::slab::global_stats();
             let mut fields: Vec<(&str, f64)> = vec![
                 ("fedsim.loss", f64::from(record.loss)),
                 ("fedsim.best_accuracy", f64::from(record.best_accuracy)),
@@ -765,17 +683,6 @@ impl FlRunner {
             obs.state()
                 .record_round(round, &fields, self.strategy.layer_frozen_ratios(round));
         }
-        event!(Level::Info, target: "fedsim", "round_complete",
-            round = round,
-            loss = record.loss,
-            accuracy = record.accuracy.map_or(f32::NAN, |a| a),
-            frozen_ratio = record.frozen_ratio,
-            bytes_up = record.bytes_up,
-            bytes_down = record.bytes_down,
-            cum_bytes = record.cum_bytes,
-            compute_secs = record.compute_secs,
-            comm_secs = record.comm_secs,
-        );
         record
     }
 
@@ -785,14 +692,13 @@ impl FlRunner {
     /// the sink (both no-ops when tracing is disabled), marks the telemetry
     /// snapshot completed, and — when a ledger is configured via
     /// [`FlRunnerBuilder::ledger`] or `APF_LEDGER_FILE` — appends a
-    /// [`LedgerRecord`] for the run.
+    /// [`crate::LedgerRecord`] for the run.
     pub fn run(&mut self) -> &ExperimentLog {
         let t0 = Instant::now();
         for r in 0..self.cfg.rounds as u64 {
             self.run_round(r);
         }
         let wall_secs = t0.elapsed().as_secs_f64();
-        apf_trace::metrics::emit();
         if self.prof_owned {
             self.prof_owned = false;
             if let Some(profile) = apf_prof::finish() {
@@ -802,33 +708,20 @@ impl FlRunner {
                     stacks = profile.stacks.len());
             }
         }
-        apf_trace::flush();
         if let Some(obs) = &self.obs {
             obs.state().mark_completed();
         }
-        if let Some(path) = self.ledger_path.clone() {
-            let mut record = LedgerRecord::from_log(
-                &self.log,
-                &self.model_name,
-                &self.strategy.name(),
-                self.config_digest,
-                wall_secs,
-            );
-            if let Some(peak) = crate::ledger::peak_resident_bytes() {
-                record
-                    .metrics
-                    .insert("peak_resident_bytes".to_owned(), peak as f64);
-            }
-            match record.append_to(&path) {
-                Ok(()) => event!(Level::Info, target: "fedsim", "ledger_appended",
-                    path = path.display().to_string(),
-                    digest = record.config_digest.as_str()),
-                Err(e) => event!(Level::Warn, target: "fedsim", "ledger_write_failed",
-                    path = path.display().to_string(),
-                    error = e.to_string()),
-            }
-        }
-        &self.log
+        // A failed ledger write is reported as an event; the run stands.
+        let _ = finish_run(
+            self.ledger_path.as_deref(),
+            self.book.log(),
+            &self.model_name,
+            &self.strategy.name(),
+            self.config_digest,
+            wall_secs,
+            &[],
+        );
+        self.book.log()
     }
 }
 

@@ -21,6 +21,7 @@ use apf_nn::{models, LrSchedule, Sequential, Sgd, Trainer};
 use apf_quant::EmaCodec;
 use apf_tensor::derive_seed;
 
+use crate::book::{evaluates_at, EvalSetup};
 use crate::client::Client;
 use crate::ledger::fnv1a64;
 use crate::population::{PopulationConfig, PopulationData, PopulationRunner};
@@ -510,45 +511,12 @@ impl RunSpec {
     /// The evaluation half of the run (for processes that are not running
     /// the full simulator, i.e. the `apf-net` server).
     pub fn eval_setup(&self) -> EvalSetup {
-        EvalSetup {
-            model: self.model(),
-            test: self.test_set(),
-            eval_batch: self.eval_batch,
-        }
+        EvalSetup::new(self.model(), self.test_set(), self.eval_batch)
     }
 
     /// Whether `round` is an evaluation round under this spec.
     pub fn evaluates_at(&self, round: u64) -> bool {
-        round.is_multiple_of(self.eval_every as u64) || round + 1 == self.rounds as u64
-    }
-}
-
-/// Held-out evaluation bundle: the eval model replica plus the test split.
-pub struct EvalSetup {
-    model: Sequential,
-    test: Dataset,
-    eval_batch: usize,
-}
-
-impl std::fmt::Debug for EvalSetup {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvalSetup")
-            .field("test_samples", &self.test.len())
-            .finish()
-    }
-}
-
-impl EvalSetup {
-    /// Test accuracy of the flat model `params` — bit-identical to
-    /// [`FlRunner::evaluate_global`] on the same parameters.
-    pub fn accuracy(&mut self, params: &[f32]) -> f32 {
-        self.model.load_flat(params);
-        apf_nn::evaluate(
-            &mut self.model,
-            self.test.inputs(),
-            self.test.labels(),
-            self.eval_batch,
-        )
+        evaluates_at(round, self.eval_every, self.rounds)
     }
 }
 
@@ -645,16 +613,6 @@ mod tests {
         }
         .config_digest();
         assert_eq!(a, c);
-    }
-
-    #[test]
-    fn eval_setup_matches_runner_eval() {
-        let spec = RunSpec::golden();
-        let mut runner = spec.build_runner();
-        runner.run();
-        let acc_runner = runner.evaluate_global();
-        let acc_spec = spec.eval_setup().accuracy(runner.global());
-        assert_eq!(acc_runner.to_bits(), acc_spec.to_bits());
     }
 
     #[test]

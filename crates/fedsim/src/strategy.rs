@@ -252,12 +252,12 @@ impl SyncStrategy for PartialSync {
 // APF family (plus strawman 2 via permanent freezing)
 // ---------------------------------------------------------------------------
 
-/// Builds freezing-period controllers for [`ApfStrategy`] (one per client,
-/// all identical).
+/// Builds the freezing-period controller of [`ApfStrategy`]'s manager.
 pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + Sync>;
 
-/// The APF strategy (§4–6): per-client [`ApfManager`]s with identical
-/// client-side masks; optionally stacked with fp16 quantization (§7.7).
+/// The APF strategy (§4–6), optionally stacked with fp16 quantization
+/// (§7.7). Every client's [`ApfManager`] evolves identically (§6.2), so one
+/// manager serves the whole fleet.
 ///
 /// With a [`FixedPeriod`] controller of `u32::MAX` rounds this degenerates
 /// into strawman 2 of §4.1 (permanent freezing) — see
@@ -265,7 +265,7 @@ pub type ControllerFactory = Box<dyn Fn() -> Box<dyn FreezeController> + Send + 
 pub struct ApfStrategy {
     cfg: ApfConfig,
     controller_factory: ControllerFactory,
-    managers: Vec<ApfManager>,
+    manager: Option<ApfManager>,
     quantize_f16: bool,
     label: String,
     layout: Vec<(String, usize)>,
@@ -276,7 +276,6 @@ impl std::fmt::Debug for ApfStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ApfStrategy")
             .field("label", &self.label)
-            .field("clients", &self.managers.len())
             .finish()
     }
 }
@@ -303,7 +302,7 @@ impl ApfStrategy {
         Ok(ApfStrategy {
             cfg,
             controller_factory: factory,
-            managers: Vec::new(),
+            manager: None,
             quantize_f16: false,
             label: label.to_owned(),
             layout: Vec::new(),
@@ -349,9 +348,9 @@ impl ApfStrategy {
         self
     }
 
-    /// The per-client managers (for inspection in tests/experiments).
+    /// The fleet's one manager once initialized (for inspection).
     pub fn managers(&self) -> &[ApfManager] {
-        &self.managers
+        self.manager.as_slice()
     }
 }
 
@@ -360,39 +359,28 @@ impl SyncStrategy for ApfStrategy {
         self.label.clone()
     }
 
-    fn init(&mut self, init_params: &[f32], num_clients: usize) {
-        self.managers = (0..num_clients)
-            .map(|_| {
-                ApfManager::new(init_params, self.cfg, (self.controller_factory)())
-                    .expect("config validated at strategy construction")
-            })
-            .collect();
-        // Masks are identical on every client, so layer telemetry from
-        // manager 0 alone describes the whole fleet without duplication.
-        if let Some(m) = self.managers.first_mut() {
-            m.set_layout(self.layout.clone());
-        }
-        // Filter coarsening changes the masks themselves, so every manager
-        // must carry the same segment layout.
+    fn init(&mut self, init_params: &[f32], _num_clients: usize) {
+        let mut m = ApfManager::new(init_params, self.cfg, (self.controller_factory)())
+            .expect("config validated at strategy construction");
+        m.set_layout(self.layout.clone());
         if !self.filter_segments.is_empty() {
-            for m in &mut self.managers {
-                m.set_filter_layout(self.filter_segments.clone())
-                    .expect("filter layout must cover the model");
-            }
+            m.set_filter_layout(self.filter_segments.clone())
+                .expect("filter layout must cover the model");
         }
+        self.manager = Some(m);
     }
 
     fn set_model_layout(&mut self, layout: Vec<(String, usize)>) {
         self.layout = layout.clone();
-        if let Some(m) = self.managers.first_mut() {
+        if let Some(m) = &mut self.manager {
             m.set_layout(layout);
         }
     }
 
     fn set_filter_layout(&mut self, segments: Vec<usize>) {
         self.filter_segments = segments.clone();
-        for m in &mut self.managers {
-            m.set_filter_layout(segments.clone())
+        if let Some(m) = &mut self.manager {
+            m.set_filter_layout(segments)
                 .expect("filter layout must cover the model");
         }
     }
@@ -404,21 +392,16 @@ impl SyncStrategy for ApfStrategy {
         weights: &[f32],
         global: &mut Vec<f32>,
     ) -> RoundComm {
-        assert_eq!(
-            locals.len(),
-            self.managers.len(),
-            "strategy not initialized"
-        );
+        let m = self.manager.as_mut().expect("strategy not initialized");
         let n = global.len();
-        // Masks are identical on every client (§6.2): compute once and drive
-        // everything below from its unfrozen runs — no compact gather per
-        // client, no per-scalar branches.
-        let mask = self.managers[0].frozen_mask_packed(round);
+        // Drive everything below from the mask's unfrozen runs — no compact
+        // gather per client, no per-scalar branches.
+        let mask = m.frozen_mask_packed(round);
         let words = mask.words();
         // Rollback every client; the fp16 wire hop is applied in place to
         // the unfrozen runs (aggregation overwrites them below, and frozen
         // slots never touch the wire).
-        for (m, l) in self.managers.iter().zip(locals.iter_mut()) {
+        for l in locals.iter_mut() {
             m.rollback(l, round);
             if self.quantize_f16 {
                 mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut l[s..e]));
@@ -444,30 +427,33 @@ impl SyncStrategy for ApfStrategy {
         if self.quantize_f16 {
             mask.for_each_unfrozen_run_in(0, n, |s, e| f16_roundtrip_in_place(&mut agg[s..e]));
         }
-        // Write back and run the stability machinery.
-        let mut comm = RoundComm::default();
-        for (i, (m, l)) in self.managers.iter_mut().zip(locals.iter_mut()).enumerate() {
-            m.apply_aggregate_dense(l, &agg, round);
-            let rep = m.finish_round(l, round);
-            comm.bytes_up += rep.bytes_up;
-            comm.bytes_down += rep.bytes_down;
-            comm.max_client_up = comm.max_client_up.max(rep.bytes_up);
-            comm.max_client_down = comm.max_client_down.max(rep.bytes_down);
-            if i == 0 {
-                comm.frozen_ratio = rep.frozen_ratio();
-            }
+        // Write back and run the stability machinery once: after the write
+        // every client holds the aggregate in its unfrozen slots and the
+        // shared pinned values in its frozen ones, i.e. the same model.
+        let (first, rest) = locals.split_first_mut().expect("at least one client");
+        m.apply_aggregate_dense(first, &agg, round);
+        let rep = m.finish_round(first, round);
+        for l in rest {
+            l.copy_from_slice(first);
         }
-        global.copy_from_slice(&locals[0]);
-        comm
+        global.copy_from_slice(first);
+        let clients = locals.len() as u64;
+        RoundComm {
+            bytes_up: rep.bytes_up * clients,
+            bytes_down: rep.bytes_down * clients,
+            max_client_up: rep.bytes_up,
+            max_client_down: rep.bytes_down,
+            frozen_ratio: rep.frozen_ratio(),
+        }
     }
 
-    fn post_local_iteration(&self, round: u64, client: usize, params: &mut [f32]) {
-        self.managers[client].rollback(params, round);
+    fn post_local_iteration(&self, round: u64, _client: usize, params: &mut [f32]) {
+        let m = self.manager.as_ref().expect("strategy not initialized");
+        m.rollback(params, round);
     }
 
     fn layer_frozen_ratios(&self, round: u64) -> Vec<(String, f64)> {
-        // Masks are identical across clients: manager 0 describes the fleet.
-        let Some(m) = self.managers.first() else {
+        let Some(m) = &self.manager else {
             return Vec::new();
         };
         if self.layout.is_empty() {
@@ -803,6 +789,8 @@ mod tests {
         let mut s = ApfStrategy::new(cfg).unwrap();
         let init = vec![0.0f32; 4];
         s.init(&init, 3);
+        // One manager serves the fleet (§6.2), whatever its size.
+        assert_eq!(s.managers().len(), 1);
         let mut g = init.clone();
         let mut ls = locals(3, 4, |_, _| 0.0);
         let mut saw_frozen = false;

@@ -10,6 +10,17 @@
 use apf_fedsim::{RunSpec, SpecStrategy, Trajectory};
 use apf_testkit::golden::{run_recorded, GoldenOutcome};
 
+/// Per-round cumulative bytes and simulated link seconds: the accounting
+/// both runners keep through the shared round book. (`cum_secs` also adds
+/// measured compute time, so it is not comparable across runs.)
+fn accounting(out: &GoldenOutcome) -> Vec<(u64, u64)> {
+    out.log
+        .records
+        .iter()
+        .map(|r| (r.cum_bytes, r.comm_secs.to_bits()))
+        .collect()
+}
+
 fn population_outcome(spec: &RunSpec) -> GoldenOutcome {
     let mut runner = spec.build_population_runner();
     runner.run();
@@ -35,6 +46,11 @@ fn full_participation_dense_matches_classic_goldens_bitwise() {
             classic.trajectory(),
             pop.trajectory(),
             "population trajectory diverged from FlRunner at {t} threads"
+        );
+        assert_eq!(
+            accounting(&classic),
+            accounting(&pop),
+            "population accounting diverged from FlRunner at {t} threads"
         );
     }
 }
@@ -79,6 +95,7 @@ fn small_shell_pool_is_invisible() {
     };
     assert_eq!(classic.global_bits(), pop.global_bits());
     assert_eq!(classic.trajectory(), pop.trajectory());
+    assert_eq!(accounting(&classic), accounting(&pop));
 }
 
 #[test]
@@ -164,6 +181,11 @@ fn f16_wire_full_participation_matches_classic_bitwise() {
             classic.trajectory(),
             pop.trajectory(),
             "f16 population trajectory diverged from FlRunner at {t} threads"
+        );
+        assert_eq!(
+            accounting(&classic),
+            accounting(&pop),
+            "f16 population accounting diverged from FlRunner at {t} threads"
         );
     }
 }

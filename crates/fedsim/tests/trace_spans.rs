@@ -269,12 +269,12 @@ fn three_round_run_emits_expected_events() {
     let seen: Vec<u64> = complete.iter().map(|v| u64_field(v, "round")).collect();
     assert_eq!(seen, vec![0, 1, 2], "round_complete rounds in order");
 
-    // Manager telemetry: one round summary per round per client manager
-    // (bytes are per-client), plus per-layer freeze breakdowns covering
-    // every parameter of the MLP each round (manager 0 only — masks are
-    // identical across clients).
+    // Manager telemetry: one round summary per round from the strategy's
+    // single manager (§6.2: every client's would be identical; bytes are
+    // per client), plus per-layer freeze breakdowns covering every
+    // parameter of the MLP each round.
     let mgr_rounds = events(&records, "apf.manager", "round");
-    assert_eq!(mgr_rounds.len(), ROUNDS * 3);
+    assert_eq!(mgr_rounds.len(), ROUNDS);
     let per_layer = events(&records, "apf.manager", "layer_freeze");
     // mlp [in, 12, 10] = 2 Linear layers x (weight + bias) = 4 named params.
     assert_eq!(per_layer.len(), ROUNDS * 4);

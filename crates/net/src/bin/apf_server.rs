@@ -39,9 +39,10 @@ use std::process::ExitCode;
 /// unless `APF_PROF=alloc` turns attribution on).
 #[global_allocator]
 static ALLOC: apf_prof::alloc::ProfAlloc = apf_prof::alloc::ProfAlloc;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
-use apf_fedsim::{ExperimentLog, LedgerRecord, RunSpec, Trajectory};
+use apf_fedsim::{append_ledger, ExperimentLog, RunSpec, Trajectory};
 use apf_net::{NetServer, ServerOpts};
 use apf_obs::{ObsServer, ObsState};
 
@@ -121,14 +122,9 @@ fn write_outputs(
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
     }
     if let Some(path) = &args.ledger {
-        let record = LedgerRecord::from_log(
-            log,
-            "m",
-            &args.spec.strategy_name(),
-            args.spec.config_digest(),
-            wall_secs,
-        );
-        record.append_to(path).map_err(|e| format!("{path}: {e}"))?;
+        let (strategy, digest) = (args.spec.strategy_name(), args.spec.config_digest());
+        append_ledger(Path::new(path), log, "m", &strategy, digest, wall_secs, &[])
+            .map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(())
 }

@@ -5,8 +5,9 @@
 //!
 //! Determinism notes (each mirrors a line of `ApfStrategy::sync_round` /
 //! `FlRunner::run_round`):
-//! - Pushes are consumed in client-id order, so the weighted mean sums
-//!   uploads in exactly the simulator's client-index order.
+//! - Pushes are consumed in client-id order and summed into one compact
+//!   aggregate as they arrive (the simulator's order), then divided once
+//!   by the alive count. No per-client upload is kept.
 //! - Under f16, uploads arrive as binary16 bit patterns and are widened on
 //!   decode, which equals the simulator's `f16_decode(f16_encode(..))`
 //!   roundtrip; the aggregate is narrowed the same way before it is applied
@@ -14,6 +15,8 @@
 //! - The server keeps one [`ApfManager`] replica; because APF freezing
 //!   decisions are pure functions of the synchronized parameters (§6.2),
 //!   this replica stays in lockstep with every client's manager.
+//! - Accounting, evaluation and records go through the simulators'
+//!   [`RoundBook`], with zero simulated time.
 //!
 //! Fault handling: a client that disconnects, times out, or violates the
 //! protocol is dropped from the round (aggregation weight 0) and all later
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use apf::{Aimd, ApfManager};
-use apf_fedsim::{ExperimentLog, RoundRecord, RunSpec};
+use apf_fedsim::{ExperimentLog, RoundBook, RoundTally, RunSpec};
 use apf_obs::{Acceptor, ObsState, RunInfo};
 use apf_quant::f16_roundtrip_in_place;
 use apf_trace::{event, span, Level, Role, TraceContext};
@@ -135,31 +138,6 @@ impl From<std::io::Error> for NetError {
     }
 }
 
-/// Weighted elementwise mean, operation-for-operation identical to the
-/// simulator's aggregation (sum `w * x` in index order, then divide by the
-/// weight total) so the result is bitwise equal.
-fn weighted_mean(vecs: &[Vec<f32>], weights: &[f32]) -> Option<Vec<f32>> {
-    let total: f32 = weights.iter().sum();
-    if total <= 0.0 || vecs.is_empty() {
-        return None;
-    }
-    let n = vecs[0].len();
-    let mut out = vec![0.0f32; n];
-    for (v, &w) in vecs.iter().zip(weights) {
-        if w == 0.0 {
-            continue;
-        }
-        debug_assert_eq!(v.len(), n);
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += w * x;
-        }
-    }
-    for o in &mut out {
-        *o /= total;
-    }
-    Some(out)
-}
-
 /// A bound, not-yet-serving parameter server. Two-phase so callers can learn
 /// the ephemeral port (and e.g. write an addr file) before blocking in
 /// [`NetServer::serve`].
@@ -263,12 +241,14 @@ impl NetServer {
             }
         }
 
-        let mut g = init.clone();
-        let mut eval = spec.eval_setup();
-        let mut log = ExperimentLog::new(&spec.run_name());
-        let model_bytes = init.len() as u64 * 4;
-        let mut cum_bytes = 0u64;
-        let mut best_accuracy = 0.0f32;
+        let mut book = RoundBook::new(
+            "net.server",
+            &spec.run_name(),
+            &spec.fl_config(),
+            spec.model(),
+            spec.test_set(),
+        );
+        let mut g = init;
         let mut lost_clients: Vec<u32> = streams
             .iter()
             .enumerate()
@@ -283,17 +263,17 @@ impl NetServer {
             if round == 0 {
                 // Same accounting as the simulator: round 0 charges the
                 // initial broadcast for the whole fleet.
-                cum_bytes += model_bytes * n as u64;
+                let bytes = book.charge_joiners(n as u64, |_| 0.0);
                 event!(Level::Debug, target: "net.comm", "init_broadcast",
-                    bytes = model_bytes * n as u64, clients = n);
+                    bytes = bytes, clients = n);
             }
             let mask = manager.frozen_mask_packed(round);
-            let unfrozen = mask.unfrozen_count();
 
-            // Collect pushes in client-id order (the aggregation order the
-            // simulator uses). A client that fails here is dropped for good.
-            let mut uploads: Vec<Vec<f32>> = vec![vec![0.0; unfrozen]; n];
-            let mut weights = vec![0.0f32; n];
+            // Sum pushes into the aggregate in client-id order (the
+            // aggregation order the simulator uses). A client that fails
+            // here is dropped for good.
+            let mut agg = vec![0.0f32; mask.unfrozen_count()];
+            let mut alive = 0usize;
             let mut losses = vec![0.0f32; n];
             for i in 0..n {
                 let Some(stream) = &mut streams[i] else {
@@ -336,8 +316,12 @@ impl NetServer {
                         event!(Level::Debug, target: "net.comm", "transfer",
                             round = round, client = i, dir = "up",
                             bytes = payload.encoded_len() - 5);
-                        uploads[i] = payload.values;
-                        weights[i] = 1.0;
+                        // `y += x`: bitwise the unit-weight `y += 1.0 * x`
+                        // of the simulator's masked reduce.
+                        for (a, &x) in agg.iter_mut().zip(&payload.values) {
+                            *a += x;
+                        }
+                        alive += 1;
                         losses[i] = f32::from_bits(loss_bits);
                     }
                     _ => {
@@ -349,27 +333,31 @@ impl NetServer {
                     }
                 }
             }
-            let alive = weights.iter().filter(|&&w| w > 0.0).count();
             metrics.clients_alive.set(alive as f64);
             if alive == 0 {
                 self.abort_all(&mut streams, "all peers lost");
                 return Err(NetError::AllClientsLost { round });
             }
 
-            let agg = {
+            {
                 let _sp = span!(Level::Debug, target: "net.server", "reduce",
                     round = round, alive = alive);
-                let mut agg = weighted_mean(&uploads, &weights).expect("alive > 0");
+                let total = alive as f32;
+                for a in &mut agg {
+                    *a /= total;
+                }
                 if wire_f16 {
                     // Matches the simulator's narrowing of the aggregate
                     // before it is applied or re-broadcast.
                     f16_roundtrip_in_place(&mut agg);
                 }
-                agg
-            };
+            }
+            // Advance the server replica exactly as every client does (the
+            // round's mask holds until `finish_round`).
+            manager.apply_aggregate(&mut g, &agg, round);
 
             // Broadcast the aggregate; send failures drop the client.
-            let pull_payload = MaskedPayload::new(mask.clone(), agg.clone(), wire_f16)?;
+            let pull_payload = MaskedPayload::new(mask, agg, wire_f16)?;
             let down_logical = pull_payload.encoded_len() - 5;
             let pull = Frame::Pull {
                 round,
@@ -400,28 +388,23 @@ impl NetServer {
                 }
             }
 
-            // Advance the server replica exactly as every client does.
-            manager.apply_aggregate(&mut g, &agg, round);
             let rep = manager.finish_round(&g, round);
-
-            let accuracy = if spec.evaluates_at(round) {
-                let acc = eval.accuracy(&g);
-                best_accuracy = best_accuracy.max(acc);
-                Some(acc)
-            } else {
-                None
-            };
             // Logical (ledger) bytes: one masked transfer per surviving
             // client each way — identical to the simulator when nobody died.
-            let bytes_up = alive as u64 * rep.bytes_up;
-            let bytes_down = alive as u64 * rep.bytes_down;
-            cum_bytes += bytes_up + bytes_down;
-            let loss = losses.iter().sum::<f32>() / alive as f32;
+            let tally = RoundTally {
+                loss: losses.iter().sum::<f32>() / alive as f32,
+                frozen_ratio: rep.frozen_ratio(),
+                bytes_up: alive as u64 * rep.bytes_up,
+                bytes_down: alive as u64 * rep.bytes_down,
+                compute_secs: 0.0,
+                comm_secs: 0.0,
+            };
+            let record = book.close_round(round, tally, &g);
             // The per-round accounting record reconcile checks against the
             // per-client transfer events and the run ledger.
             event!(Level::Debug, target: "net.server", "round_bytes",
-                round = round, bytes_up = bytes_up, bytes_down = bytes_down,
-                cum_bytes = cum_bytes, alive = alive);
+                round = round, bytes_up = record.bytes_up, bytes_down = record.bytes_down,
+                cum_bytes = record.cum_bytes, alive = alive);
             metrics.rounds.inc();
             metrics
                 .round_us
@@ -431,27 +414,14 @@ impl NetServer {
                 obs.record_round(
                     round,
                     &[
-                        ("net.loss", f64::from(loss)),
-                        ("net.frozen_ratio", f64::from(rep.frozen_ratio())),
-                        ("net.cum_bytes", cum_bytes as f64),
+                        ("net.loss", f64::from(record.loss)),
+                        ("net.frozen_ratio", f64::from(record.frozen_ratio)),
+                        ("net.cum_bytes", record.cum_bytes as f64),
                         ("net.clients_alive", alive as f64),
                     ],
                     Vec::new(),
                 );
             }
-            log.push(RoundRecord {
-                round,
-                loss,
-                accuracy,
-                best_accuracy,
-                frozen_ratio: rep.frozen_ratio(),
-                bytes_up,
-                bytes_down,
-                cum_bytes,
-                compute_secs: 0.0,
-                comm_secs: 0.0,
-                cum_secs: 0.0,
-            });
         }
 
         for stream in streams.iter_mut().flatten() {
@@ -470,7 +440,7 @@ impl NetServer {
         root.record("wire_bytes", wire_bytes);
         root.record("lost", lost_clients.len());
         Ok(ServerOutcome {
-            log,
+            log: book.log().clone(),
             global: g,
             wire_bytes,
             lost_clients,

@@ -10,6 +10,12 @@ use apf_fedsim::{RunSpec, SpecStrategy, Trajectory};
 use apf_net::{run_client, ClientOpts, NetError, NetServer, ServerOpts};
 use apf_testkit::golden::run_recorded;
 
+/// Per-round cumulative bytes: the accounting the server and the
+/// simulator both keep through the shared round book.
+fn cum_bytes(log: &apf_fedsim::ExperimentLog) -> Vec<u64> {
+    log.records.iter().map(|r| r.cum_bytes).collect()
+}
+
 fn opts(spec: RunSpec) -> ServerOpts {
     ServerOpts {
         addr: "127.0.0.1:0".to_owned(),
@@ -64,6 +70,7 @@ fn networked_golden_run_is_bitwise_identical_to_simulator() {
         net_global_bits,
         "final global models diverge"
     );
+    assert_eq!(cum_bytes(&golden.log), cum_bytes(&outcome.log));
     // The real framing overhead must be accounted for and strictly exceed
     // the logical masked-transfer bytes it wraps.
     assert!(outcome.wire_bytes > outcome.log.total_bytes() / 2);
@@ -92,6 +99,7 @@ fn networked_f16_run_is_bitwise_identical_to_simulator() {
     }
     let net_global_bits: Vec<u32> = outcome.global.iter().map(|v| v.to_bits()).collect();
     assert_eq!(golden.global_bits(), net_global_bits);
+    assert_eq!(cum_bytes(&golden.log), cum_bytes(&outcome.log));
 }
 
 #[test]

@@ -230,6 +230,21 @@ echo "== population simulator: sampled-cohort smoke (100k registered) =="
 # (apf-fedsim --test population_parity).
 cargo run -q --release --offline -p apf-bench --bin population-smoke
 
+echo "== perfbench: output checks on every workload (traced) =="
+# One short pass of the end-to-end benchmark with --trace 1. Its output
+# checks must all hold: a fleet assembled from the public pieces equals
+# FlRunner bitwise (traced lenet5-apf and lstm-fedavg), the networked run
+# equals the in-process FlRunner bitwise (net-apf-f16), and the benchmark
+# builds against the public API it drives. perfbench exits non-zero on
+# any failed check; its report is shown only then.
+if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seed 3 --seconds 1 --trace 1 > "$net_dir/perfbench.out" 2>&1; then
+  cat "$net_dir/perfbench.out" >&2
+  echo "perfbench output checks failed" >&2
+  exit 1
+fi
+echo "OK: perfbench output checks hold on all four workloads"
+
 echo "== kernel bench regression vs committed baseline =="
 # Quick bench-kernels run diffed against BENCH_kernels.json: hard fail on
 # a >20% regression of a reference-relative figure (beyond the runs' own
